@@ -3,7 +3,7 @@ PY ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint demos bench-gate bench-baseline sweep-smoke \
-	search-smoke auto-config
+	search-smoke auto-config perfbench-selftest
 
 test:
 	$(PY) -m pytest -x -q
@@ -28,6 +28,11 @@ bench-gate:
 # wall clocks always come from uncontended runs.
 bench-baseline:
 	$(PY) benchmarks/gate.py --update-baseline
+
+# The host benchmark's own tests (tiny workloads, output check,
+# runner vs BENCHMARK.json); see perfbench/README.md.
+perfbench-selftest:
+	$(PY) -m pytest perfbench/selftest.py -q
 
 # Two-worker end-to-end smoke of the multiprocess sweep executor.
 sweep-smoke:

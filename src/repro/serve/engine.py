@@ -27,19 +27,33 @@ one design share it), with misses priced by the precomputed per-design
 cost surface (:class:`repro.llm.workload.StepCostSurface`) instead of
 re-walking a full operator list.
 
-On top of that sits **decode leaping**: when a step's active set is
-quiescent — pure decode, no completion, no ``seq_len_bucket`` crossing,
-and no arrival before the caller-provided horizon — :meth:`step` leaps
-the following K steps analytically: the committed step's cost is
-re-applied per leapt step with the exact same sequential float
-arithmetic the stepwise loop would use, KV/block growth lands in bulk
+On top of that sits the **decode walk**, which separates two things a
+step-by-step loop conflates: *plan validity* and *cost segments*.  A
+pure-decode plan stays the scheduler's plan until something changes
+the running set or the queue: a completion (release), an admission, an
+arrival before the caller's horizon, or a scheduler-state event
+(:meth:`repro.serve.Scheduler.leap_window` certifies the rest — paged
+block supply, blocked heads).  Within that validity span the plan's
+*cost* is piecewise constant: it changes only where some decoder's
+context crosses a ``seq_len_bucket`` boundary.  So :meth:`step`
+commits a valid plan's steps without replanning: it gathers contexts
+once, schedules every crossing at once, prices each new segment's
+signature through the step cache at its crossing step and the
+completing step's at that step (each counted as the planned step a
+replan there would be), re-applies a segment's cost to
+the steps in between with the exact sequential float arithmetic of the
+stepwise loop, and commits the completing step itself — records and
+release included.  KV/block growth lands in bulk
 (:meth:`repro.serve.Scheduler.commit_leap` /
-:meth:`repro.serve.BlockManager.extend_bulk`), and the per-step
-KV-utilization series is reconstructed exactly, so a leaping run's
-:class:`~repro.serve.ServingReport` is bit-identical to step-by-step
-execution.  Leaping needs ``seq_len_bucket > 1`` (exact mode changes
-every step's signature) and falls back to stepwise execution whenever a
-chunked prefill, swap, admission, or completion is in flight.
+:meth:`repro.serve.BlockManager.extend_bulk`) and the per-step
+KV-utilization series is reconstructed exactly, so a walking run's
+:class:`~repro.serve.ServingReport` — its diagnostic step and cache
+counters included — is bit-identical to step-by-step execution (the
+counters are pinned in ``tests/data/step_counters.json``).  Walks need
+``seq_len_bucket > 1`` (exact mode changes every step's signature).
+Admission, chunked-prefill, and swap steps are planned one at a time;
+an admission's decode successor is walked in the same call, and a lone
+mid-prompt prefill chunk leaps its successor chunks.
 
 The engine no longer has to own the event loop: :meth:`ServingEngine.run`
 drives the classic single-engine trace-to-completion loop, but the
@@ -68,6 +82,31 @@ from .costs import step_cost_store
 from .metrics import RequestRecord, ServingReport
 from .scheduler import Scheduler, StepPlan, make_scheduler
 from .trace import Request, offered_load_rps
+
+
+class _Walk:
+    """Cursor of one decode walk (see :meth:`ServingEngine.step`).
+
+    ``ctx`` and ``rem`` are the decoders' contexts and remaining tokens
+    at step 0; step ``span - 1`` completes a sequence; ``last`` is the
+    last step the scheduler certified; ``crossings`` lists the steps
+    whose cost bucket changes.  ``j`` is the next step to commit, ``ci``
+    the next crossing, ``key``/``cost`` the current segment's
+    signature and price, ``epoch``/``clock`` the scheduler mutation
+    count and engine clock a horizon cut left it at.
+    """
+
+    __slots__ = ("plan", "slots", "table", "ctx", "rem", "span", "last",
+                 "crossings", "ci", "j", "key", "cost", "epoch", "clock")
+
+    def __init__(self, plan: StepPlan, slots: np.ndarray, table,
+                 ctx: np.ndarray, rem: np.ndarray, span: int, last: int,
+                 crossings: list):
+        self.plan, self.slots, self.table = plan, slots, table
+        self.ctx, self.rem, self.span, self.last = ctx, rem, span, last
+        self.crossings = crossings
+        self.ci = self.j = 0
+        self.key = self.cost = None
 
 
 class ServingEngine:
@@ -133,11 +172,8 @@ class ServingEngine:
         self._cache_misses = 0
         self._report: ServingReport | None = None
         self._now = 0.0
-        #: Pending leap remainder: ``(plan, cost, window, epoch, clock)``
-        #: left over when a pure-decode leap was cut by the horizon
-        #: rather than by the plan's own validity bound (see
-        #: :meth:`step`).
-        self._resume = None
+        #: Cursor of a decode walk the horizon cut (see :meth:`step`).
+        self._walk: _Walk | None = None
 
     # -- step lowering --------------------------------------------------
     def _signature(self, plan: StepPlan,
@@ -181,9 +217,13 @@ class ServingEngine:
             for t in plan.chunks).items()))
         return prefill, decode, chunks
 
-    def _step_cost(self, plan: StepPlan,
-                   ctx: np.ndarray | None = None) -> SimulationResult:
-        key = self._signature(plan, ctx)
+    def _price(self, key: tuple) -> SimulationResult:
+        """Cost of one step signature through the shared step cache.
+
+        Every planned step — stepwise, a walk's first, crossing and
+        completing steps, and each leapt prefill chunk — prices here,
+        so one counted lookup is one planned step.
+        """
         result = self._step_cache.get(key)
         if result is not None:
             self._cache_hits += 1
@@ -230,7 +270,7 @@ class ServingEngine:
         self._now = 0.0
         self._cache_hits = 0
         self._cache_misses = 0
-        self._resume = None
+        self._walk = None
         return self._report
 
     def submit(self, request: Request) -> None:
@@ -249,59 +289,79 @@ class ServingEngine:
             self._now = t
 
     def step(self, horizon: float | None = None) -> bool:
-        """Plan, price, and commit one step at the current clock.
+        """Plan, price, and commit the step at the current clock.
 
         Returns False (and leaves every clock and state untouched) when
         the scheduler plans an empty step; the caller decides whether
         that means idle-until-next-arrival or a stall.
 
         ``horizon`` is the caller's promise that no request will be
-        submitted before that absolute time.  With a horizon, a
-        committed pure-decode step may *leap*: the engine repeats the
-        step's cost analytically for every following step that starts
-        before the horizon and cannot change the plan — no completion,
-        no ``seq_len_bucket`` crossing, and no scheduler-state event
-        (:meth:`Scheduler.leap_window`) — committing clock, energy,
-        KV growth, and the utilization series exactly as the stepwise
-        loop would.  Without a horizon (the default) every call commits
-        exactly one step.
+        submitted before that absolute time.  Without one (the default)
+        every call commits exactly one planned step.  With one, a
+        pure-decode plan starts a *decode walk* (see the module
+        docstring): the engine keeps committing steps of that plan —
+        every step after the first must start strictly before the
+        horizon — through bucket crossings up to and including the
+        step that completes a sequence.  An admission step's decode
+        successor is planned and walked in the same call.  The call
+        returns at the first release, at the horizon, or when the
+        scheduler's certificate (:meth:`Scheduler.leap_window`) runs
+        out.
 
-        A leap the previous call cut at its horizon leaves the plan
-        provably valid for the window's remaining steps (no completion,
-        bucket crossing, or scheduler event occurs inside it, and
-        admission stays blocked — nothing arrived, or the resume is
-        dropped).  When nothing was submitted in between
-        (:attr:`Scheduler.mutations` unchanged) and the clock did not
-        move, this call *resumes* that leap instead of replanning: the
-        planned-step count collapses from one per foreign cluster event
-        to one per plan-changing event on this replica.  All physics
-        fields stay bit-identical to replanning (the elided plan would
-        have been identical and the accumulators advance with the same
-        sequential additions); only the diagnostic ``leap_steps`` /
-        step-cache counters attribute steps differently.
+        A walk cut by the horizon keeps its cursor.  When nothing was
+        submitted in between (:attr:`Scheduler.mutations` unchanged)
+        and the clock did not move, the next call *resumes* that walk
+        instead of replanning: the plan is provably unchanged (no
+        completion, and admission stays blocked — nothing arrived), so
+        the planned-step count collapses from one per foreign cluster
+        event to one per plan-changing event on this replica.
         """
-        resume = self._resume
-        if resume is not None:
-            self._resume = None
+        walk = self._walk
+        if walk is not None:
+            self._walk = None
             if horizon is not None and self._now < horizon and \
-                    resume[3] == self.scheduler.mutations and \
-                    resume[4] == self._now:
-                self._resume_leap(resume, horizon)
+                    walk.epoch == self.scheduler.mutations and \
+                    walk.clock == self._now:
+                self._run_walk(walk, horizon)
                 return True
-        report = self._active_report()
+        self._active_report()
         plan = self.scheduler.plan_step(self._now)
         if plan.batch == 0:
             return False
+        walking = horizon is not None and self.leap and \
+            self.seq_len_bucket > 1
+        if walking and not (plan.prefill or plan.chunks or
+                            plan.swap_seconds):
+            self._start_walk(plan, horizon)
+            return True
+        released = self._commit(plan)
+        if not walking or released:
+            return True
+        if plan.chunks:
+            self._chunk_leap(plan, horizon)
+        elif plan.prefill and self._now < horizon and (
+                horizon == math.inf or
+                not self.scheduler.arrivals_inert()):
+            # An admission released nothing: its successor decodes the
+            # whole running set.  (Admission just saturated the batch
+            # under a finite horizon?  Then return: :meth:`run` widens
+            # its horizon once arrivals turn inert.)
+            self._start_walk(self.scheduler.decode_successor(), horizon)
+        return True
+
+    def _commit(self, plan: StepPlan) -> bool:
+        """Commit one planned step stepwise; True if it released any
+        sequence."""
+        report = self._report
         report.peak_kv_bytes = max(report.peak_kv_bytes,
                                    self.scheduler.reserved_bytes)
         report.kv_utilization.append(self.scheduler.kv_utilization())
         slots = plan.decode_slots
         ctx0 = None
         if slots is not None and slots.size:
-            # One context gather feeds the signature, the commit, and
-            # the leap-window crossing check below.
+            # One context gather feeds the signature and the commit.
             ctx0 = plan.table.context_len[slots]
-        cost = self._step_cost(plan, ctx0)
+        cost = self._price(self._signature(plan, ctx0))
         duration = cost.step_seconds + plan.swap_seconds
         self._now += duration
         now = self._now
@@ -339,23 +399,21 @@ class ServingEngine:
             state.generated += 1
             state.context_len = state.prefill_target + 1
             finished_chunks.append(state)
-        remaining = ctx1 = None
+        remaining = None
         if slots is not None:
             table = plan.table
             if slots.size:
                 # Slot plan: commit every decoder's token with column
                 # ops — set first-token clocks where still NaN, then
-                # bump the counters.  ``remaining``/``ctx1`` feed the
-                # completion scan and the leap window without
-                # re-gathering.
+                # bump the counters.  ``remaining`` feeds the
+                # completion scan without re-gathering.
                 first = table.first_token_s
                 unset = np.isnan(first[slots])
                 if unset.any():
                     first[slots[unset]] = now
                 gen = table.generated[slots] + 1
                 table.generated[slots] = gen
-                ctx1 = ctx0 + 1
-                table.context_len[slots] = ctx1
+                table.context_len[slots] = ctx0 + 1
                 remaining = table.output_len[slots] - gen
             n_decode = int(slots.size)
         else:
@@ -391,180 +449,155 @@ class ServingEngine:
                              if s.generated >= s.request.output_len)
         finishers.extend(s for s in finished_chunks
                          if s.generated >= s.request.output_len)
-        released = bool(finishers)
         if finishers:
-            # Records first (they only read state), then one cohort
-            # release — the record order and every release side effect
-            # match the interleaved per-state sequence.
-            records = report.records
-            if len(finishers) > 2:
-                # Gather the clock columns once instead of two property
-                # reads per finisher (every state shares one table).
-                tab = finishers[0].table
-                fslots = np.fromiter((s.slot for s in finishers),
-                                     dtype=np.int64, count=len(finishers))
-                admitted = tab.admitted_s[fslots].tolist()
-                firsts = tab.first_token_s[fslots].tolist()
-                for state, adm, first in zip(finishers, admitted, firsts):
-                    records.append(RequestRecord(
-                        request=state.request,
-                        admitted_s=None if adm != adm else adm,
-                        first_token_s=None if first != first else first,
-                        finish_s=now))
-            else:
-                for state in finishers:
-                    records.append(RequestRecord(
-                        request=state.request,
-                        admitted_s=state.admitted_s,
-                        first_token_s=state.first_token_s,
-                        finish_s=now))
-            self.scheduler.release_many(finishers)
+            self._release(finishers, None, now)
+        return bool(finishers)
 
-        if horizon is not None and not released:
-            if plan.chunks:
-                self._chunk_leap(plan, horizon)
-            else:
-                self._leap(plan, cost, horizon, remaining, ctx1)
-        return True
+    def _release(self, finishers: list, fslots: np.ndarray | None,
+                 now: float) -> None:
+        """Record and release a completion cohort finishing at ``now``.
 
-    def _leap_window(self, plan: StepPlan,
-                     remaining: np.ndarray | None,
-                     ctx: np.ndarray | None) -> int:
-        """Steps after a committed pure-decode step with the same plan.
-
-        Bounded by the earliest completion (the completing step must
-        replan so releases and records land through the one stepwise
-        code path) and the earliest ``seq_len_bucket`` crossing (the
-        next bucket's signature needs a fresh cost); the scheduler then
-        shrinks the window to its own next state event.
+        Records first (they only read state), then one cohort release —
+        the record order and every release side effect match the
+        interleaved per-state sequence.  The clock columns are gathered
+        once at the finishers' table rows ``fslots`` (every state
+        shares one table; None gathers the rows from the states).
         """
-        bucket = self.seq_len_bucket
-        if bucket == 1:
-            return 0  # Exact mode: every step's signature is new.
-        if remaining is not None:
-            # Slot plan: :meth:`step` hands over the already-gathered
-            # post-commit remaining-token and context columns.  The
-            # committed step planned at context - 1, and leapt step j
-            # plans at context + j - 1, which must share its cost
-            # bucket.
-            crossing = (1 - ctx) % bucket
-            return int(np.minimum(remaining - 1, crossing).min())
-        window = None
-        for state in plan.decode:
-            remaining = state.request.output_len - state.generated
-            crossing = -(state.context_len - 1) % bucket
-            bound = remaining - 1 if remaining - 1 < crossing else crossing
-            if window is None or bound < window:
-                window = bound
-                if window <= 0:
-                    return 0
-        return window
+        records = self._report.records
+        tab = finishers[0].table
+        if fslots is None:
+            fslots = np.fromiter((s.slot for s in finishers),
+                                 dtype=np.int64, count=len(finishers))
+        admitted = tab.admitted_s[fslots].tolist()
+        firsts = tab.first_token_s[fslots].tolist()
+        for state, adm, first in zip(finishers, admitted, firsts):
+            records.append(RequestRecord(
+                request=state.request,
+                admitted_s=None if adm != adm else adm,
+                first_token_s=None if first != first else first,
+                finish_s=now))
+        self.scheduler.release_many(finishers)
 
-    def _leap(self, plan: StepPlan, cost: SimulationResult,
-              horizon: float, remaining: np.ndarray | None = None,
-              ctx: np.ndarray | None = None) -> None:
-        """Re-apply a committed pure-decode step analytically.
+    def _start_walk(self, plan: StepPlan, horizon: float) -> None:
+        """Walk a freshly planned pure-decode plan from its first step.
 
-        Every accumulator advances with the same sequential float
-        additions the stepwise loop performs (float addition does not
-        associate, and the reports must match bit for bit), but the
-        planning, pricing, and per-token KV allocation work is skipped —
-        the leap is what makes 100k-request traces tractable.
+        Contexts and remaining tokens are gathered once.  From them the
+        walk knows its completing step (the smallest remaining count),
+        the scheduler certifies the plan through it, and every
+        ``seq_len_bucket`` crossing up to there is scheduled at once: a
+        decoder at context ``c`` crosses on steps ``(-c % b) + 1 + k*b``
+        (only decoders whose first crossing falls inside the walk leave
+        numpy).
         """
         slots = plan.decode_slots
-        n_decode = int(slots.size) if slots is not None else len(plan.decode)
-        if not self.leap or plan.prefill or plan.chunks or \
-                plan.swap_seconds or not n_decode:
-            return
-        window = self._leap_window(plan, remaining, ctx)
-        if window > 0:
-            window = self.scheduler.leap_window(plan, window)
-        if window <= 0:
-            return
-        leapt = self._advance(cost.step_seconds,  # No swap inside a leap.
-                              cost.dynamic_energy_j, cost.comm_seconds,
-                              window, horizon)
-        if leapt < window:
-            # Cut by the horizon, not by the plan's validity: the
-            # remaining steps stay leapable once the caller's next
-            # horizon opens, provided nothing is submitted meanwhile.
-            self._resume = (plan, cost, window - leapt,
-                            self.scheduler.mutations, self._now)
-        if leapt == 0:
-            return
-        report = self._report
-        report.kv_utilization.extend(
-            self.scheduler.commit_leap(plan, leapt))
-        report.peak_kv_bytes = max(report.peak_kv_bytes,
-                                   self.scheduler.reserved_bytes)
-        report.steps += leapt
-        report.leap_steps += leapt
-        if slots is not None:
+        if slots is None:
+            table = plan.decode[0].table  # One scheduler, one table.
+            slots = np.fromiter((s.slot for s in plan.decode),
+                                dtype=np.int64, count=len(plan.decode))
+        else:
             table = plan.table
-            table.generated[slots] += leapt
-            table.context_len[slots] += leapt
-        else:
-            self._bump_decode(plan.decode, leapt)
-        self.scheduler.note_generated(leapt * n_decode)
+        ctx = table.context_len[slots]
+        rem = table.output_len[slots] - table.generated[slots]
+        span = int(rem.min())
+        last = self.scheduler.leap_window(plan, span - 1) if span > 1 \
+            else 0
+        b = self.seq_len_bucket
+        cross = (-ctx) % b + 1
+        crossings = sorted({c + k for c in cross[cross <= last].tolist()
+                            for k in range(0, last - c + 1, b)})
+        self._run_walk(_Walk(plan, slots, table, ctx, rem, span, last,
+                             crossings), horizon)
 
-    @staticmethod
-    def _bump_decode(decode: list, leapt: int) -> None:
-        """Advance a list plan's decoders by ``leapt`` tokens (column
-        ops past a few states; every state shares one table)."""
-        if len(decode) > 2:
-            table = decode[0].table
-            dslots = np.fromiter((s.slot for s in decode),
-                                 dtype=np.int64, count=len(decode))
-            table.generated[dslots] += leapt
-            table.context_len[dslots] += leapt
-        else:
-            for state in decode:
-                state.generated += leapt
-                state.context_len += leapt
+    def _run_walk(self, walk: _Walk, horizon: float) -> None:
+        """Commit the walk's steps from its cursor until it completes,
+        its certificate runs out, or the horizon cuts it.
 
-    def _resume_leap(self, resume: tuple, horizon: float) -> None:
-        """Continue a horizon-cut leap without replanning.
-
-        Safety chain (each point pins the elided replan to the resumed
-        plan): the window bound guarantees no sequence completes or
-        crosses a cost bucket inside it; in a pure-decode window
-        admission stays monotonically blocked for every scheduler
-        (reservations and ``running`` are unchanged, a paged pool's
-        available blocks only shrink, and blocked swap-ins stay
-        blocked); the anchor plan's admission probe already moved the
-        blocked head's cached prefix blocks to MRU, so eliding the
-        repeat probes leaves the LRU order identical (no eviction can
-        occur inside the window); and the paged window was sized so the
-        whole leap's block demand fits the free list, so the remainder
-        cannot preempt.  The committed arithmetic is the same
-        sequential accumulation :meth:`_leap` performs — splitting one
-        window across calls lands on identical floats.
+        Step 0, each crossing step and the completing step are
+        *planned* steps: each prices its signature through the step
+        cache (one counted lookup, exactly as replanning there would);
+        step 0 commits whatever the horizon, the others must start
+        before it.  The steps between are leapt at their segment's
+        cost.  Table columns, ``note_generated``, the KV series (one
+        :meth:`Scheduler.commit_leap` over every step after the first)
+        and the peak are written once at the end; a completed walk
+        then records and releases its finishers.
         """
-        plan, cost, window, epoch, _ = resume
-        leapt = self._advance(cost.step_seconds, cost.dynamic_energy_j,
-                              cost.comm_seconds, window, horizon)
-        if leapt < window:
-            self._resume = (plan, cost, window - leapt, epoch, self._now)
         report = self._report
-        report.kv_utilization.extend(
-            self.scheduler.commit_leap(plan, leapt))
+        j0 = j = walk.j
+        last, crossings = walk.last, walk.crossings
+        stop = last if last == walk.span - 1 else last + 1
+        b = self.seq_len_bucket
+        planned = 0
+        while j <= last:
+            nxt = crossings[walk.ci] if walk.ci < len(crossings) \
+                else last + 1
+            if j == nxt or j == stop or not j:
+                if j and self._now >= horizon:
+                    break
+                if j == nxt:
+                    walk.ci += 1
+                if j == nxt or not j:
+                    walk.key = ((), tuple(sorted(
+                        (-(-(walk.ctx + j) // b) * b).tolist())), ())
+                walk.cost = cost = self._price(walk.key)
+                self._now += cost.step_seconds
+                report.energy_j += cost.dynamic_energy_j
+                report.comm_seconds += cost.comm_seconds
+                report.busy_seconds += cost.step_seconds
+                if not j:
+                    first_token_s = self._now
+                planned += 1
+                j += 1
+                continue
+            window = min(nxt, stop) - j
+            leapt = self._advance(walk.cost, window, horizon)
+            j += leapt
+            if leapt < window:
+                break
+        steps = j - j0
+        report.steps += steps
+        report.leap_steps += steps - planned
+        plan, slots, table = walk.plan, walk.slots, walk.table
+        table.generated[slots] += steps
+        table.context_len[slots] += steps
+        scheduler = self.scheduler
+        scheduler.note_generated(steps * int(slots.size))
+        later = steps if j0 else steps - 1  # Steps after step 0.
+        if not j0:
+            # Step 0 ran in this call: KV-ready admissions emit their
+            # first local token there, and its KV share is the one the
+            # scheduler holds at plan time.
+            first = table.first_token_s
+            unset = np.isnan(first[slots])
+            if unset.any():
+                first[slots[unset]] = first_token_s
+            report.kv_utilization.append(scheduler.kv_utilization())
+        if later:
+            report.kv_utilization.extend(
+                scheduler.commit_leap(plan, later))
         report.peak_kv_bytes = max(report.peak_kv_bytes,
-                                   self.scheduler.reserved_bytes)
-        report.steps += leapt
-        report.leap_steps += leapt
-        slots = plan.decode_slots
-        if slots is not None:
-            table = plan.table
-            table.generated[slots] += leapt
-            table.context_len[slots] += leapt
-            n_decode = int(slots.size)
-        else:
-            self._bump_decode(plan.decode, leapt)
-            n_decode = len(plan.decode)
-        self.scheduler.note_generated(leapt * n_decode)
+                                   scheduler.reserved_bytes)
+        if j <= last:
+            # Cut by the horizon, not by the plan's validity.
+            walk.j = j
+            walk.epoch = scheduler.mutations
+            walk.clock = self._now
+            self._walk = walk
+        elif stop == last:
+            # Finishers in the stepwise order: plan order, which for a
+            # slot plan is running order.
+            done = np.flatnonzero(walk.rem == walk.span)
+            if plan.decode_slots is None:
+                finishers = [plan.decode[i] for i in done.tolist()]
+            else:
+                index = done if plan.decode_index is None \
+                    else plan.decode_index[done]
+                running = scheduler.running
+                finishers = [running[i] for i in index.tolist()]
+            self._release(finishers, slots[done], self._now)
 
-    def _advance(self, duration: float, energy: float, comm: float,
-                 window: int, horizon: float) -> int:
+    def _advance(self, cost: SimulationResult, window: int,
+                 horizon: float) -> int:
         """Commit up to ``window`` repeats of one step's cost; return how
         many started strictly before ``horizon``.
 
@@ -577,10 +610,14 @@ class ServingEngine:
         — column 0 the current accumulators, the rest the per-step
         deltas — and ``searchsorted`` finds how many steps fit under the
         horizon (the clock column is non-decreasing; ``side="left"``
-        mirrors the loop's strict ``now < horizon`` test).
+        mirrors the loop's strict ``now < horizon`` test).  A walk has
+        no swap time, so a step's duration is its ``step_seconds``.
         """
+        duration = cost.step_seconds
+        energy = cost.dynamic_energy_j
+        comm = cost.comm_seconds
+        report = self._report
         if window < 8:  # The array setup only pays off past a few steps.
-            report = self._report
             leapt = 0
             while leapt < window and self._now < horizon:
                 self._now += duration
@@ -589,7 +626,6 @@ class ServingEngine:
                 report.busy_seconds += duration
                 leapt += 1
             return leapt
-        report = self._report
         series = np.empty((4, window + 1))
         series[:, 0] = (self._now, report.energy_j, report.comm_seconds,
                         report.busy_seconds)
@@ -644,14 +680,8 @@ class ServingEngine:
         leapt = 0
         while leapt < window and self._now < horizon:
             past = past0 + leapt * chunk
-            key = ((), (), (((-(-past // b) * b, chunk, False), 1),))
-            cost = self._step_cache.get(key)
-            if cost is not None:
-                self._cache_hits += 1
-            else:
-                self._cache_misses += 1
-                cost = self._surface.price_step(*key)
-                self._step_cache.put(key, cost)
+            cost = self._price(
+                ((), (), (((-(-past // b) * b, chunk, False), 1),)))
             duration = cost.step_seconds
             self._now += duration
             report.energy_j += cost.dynamic_energy_j
@@ -682,7 +712,7 @@ class ServingEngine:
                     f"stat {key!r}; ServingReport has no such field")
             setattr(report, key, value)
         self._report = None
-        self._resume = None
+        self._walk = None
         return report
 
     # -- event loop -----------------------------------------------------

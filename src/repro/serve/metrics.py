@@ -308,13 +308,19 @@ class ServingReport(RecordStats):
     swap_bytes: float = 0.0
     swap_seconds: float = 0.0
     #: Step-cost cache locality of this session (the cache itself may
-    #: be shared across replicas — see :mod:`repro.serve.costs`).  A
-    #: leaping run performs one lookup per *planned* step, so hits +
-    #: misses can undercount ``steps``.
+    #: be shared across replicas — see :mod:`repro.serve.costs`).
+    #: Every *planned* step (every step not in ``leap_steps``) makes
+    #: exactly one lookup, leapt decode steps make none, and each
+    #: leapt prefill chunk makes one: hits + misses == ``steps`` -
+    #: ``leap_steps`` + leapt chunks.
     step_cache_hits: int = 0
     step_cache_misses: int = 0
-    #: Steps committed through the decode-leaping fast path (a subset
-    #: of ``steps``; 0 when leaping is disabled or never applicable).
+    #: Steps committed without pricing a new plan (a subset of
+    #: ``steps``): the decode-walk steps between a walk's planned
+    #: steps — its first step, each ``seq_len_bucket`` crossing, and
+    #: its completing step — plus leapt prefill chunks.  0 when
+    #: ``leap=False``, in exact mode (``seq_len_bucket=1``), or without
+    #: a horizon.
     leap_steps: int = 0
 
     @property

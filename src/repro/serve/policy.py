@@ -603,15 +603,16 @@ class PagedScheduler:
 
     # -- decode leaping ---------------------------------------------------
     def leap_window(self, plan: StepPlan, max_steps: int) -> int:
-        """Shrink the engine's leap window to what the pool can supply.
+        """Shrink a decode walk to what the pool can supply.
 
-        Beyond the engine's completion/bucket/arrival bounds, two paged
-        concerns cap a leap:
+        ``max_steps`` already reaches through the walk's completing step
+        (whose decode extend happens at plan time, before its release);
+        two paged concerns cap it further:
 
-        * **block supply** — every leapt step extends every decoder by
-          one token, and an allocation failure mid-window would trigger
-          a preemption the leap cannot represent, so the window shrinks
-          until the whole leap's block demand fits the pool;
+        * **block supply** — every walked step extends every decoder by
+          one token, and an allocation failure mid-walk would trigger
+          a preemption the walk cannot represent, so the window shrinks
+          until the whole walk's block demand fits the pool;
         * **blocked-head retries** — a waiting (or swapped-out) head is
           retried every stepwise step.  Those retries are pure
           round-trips, *except* that an admission attempt touches the
@@ -623,9 +624,9 @@ class PagedScheduler:
           available blocks only shrink across a pure-decode window.
         """
         if self._preempted_in_last_plan:
-            # The committed plan evicted someone: blocks freed and the
+            # The walk's plan evicted someone: blocks freed and the
             # victim re-queued, so the next stepwise plan may admit or
-            # re-chunk — state the leap cannot extrapolate.
+            # re-chunk — state the walk cannot extrapolate.
             return 0
         manager = self.block_manager
         bound = manager.free_blocks if (self.waiting or self.swapped) \

@@ -235,7 +235,7 @@ class Scheduler:
         self.outstanding_tokens = 0
         #: Ingest epoch: bumped by every enqueue so the engine can tell
         #: whether anything arrived between two of its steps.  A
-        #: pure-decode leap cut short by a *foreign* event (another
+        #: decode walk cut short by a *foreign* event (another
         #: replica's clock, a fleet tick) leaves the plan valid; the
         #: engine resumes it on the next step iff this counter is
         #: unchanged (:meth:`repro.serve.ServingEngine.step`).
@@ -503,30 +503,44 @@ class Scheduler:
         return len(self.running) >= self.max_batch
 
     def leap_window(self, plan: StepPlan, max_steps: int) -> int:
-        """How many further pure-decode steps the engine may leap.
+        """How many steps after ``plan``'s first the plan stays valid.
 
-        Called by :meth:`repro.serve.ServingEngine.step` after it has
-        committed a pure-decode step (no prefills, no chunks, no swap
-        time, no completions) and bounded the window by the next
-        completion, ``seq_len_bucket`` crossing, and arrival horizon.
-        The scheduler shrinks the window to the next step at which its
-        *own* state could change the plan.
+        The certificate behind :meth:`repro.serve.ServingEngine.step`'s
+        decode walk.  The engine asks it once per walk, for a pure-decode
+        plan (no prefills, no chunks, no swap time), with ``max_steps``
+        reaching through the step that completes the first sequence;
+        the scheduler shrinks it to the next step at which its *own*
+        state could change the plan.  Bucket crossings are the engine's
+        business and the horizon bounds the walk separately.
 
         Peak-reservation admission depends only on ``reserved_bytes``,
         the running-slot count, and the static queue head — none of
         which a pure-decode step changes — so a queue head blocked at
-        the anchor step stays blocked for the whole window: the engine
-        bound stands.
+        the walk's first step stays blocked through the completing one:
+        the engine bound stands.
         """
         return max_steps
 
+    def decode_successor(self) -> StepPlan:
+        """The plan following a committed admission step that released
+        nothing, with nothing enqueued since.
+
+        Admission stopped at an empty queue, a full batch, or a head
+        over KV capacity, and none of those moves without a release or
+        an enqueue; with no finisher, every running sequence is live.
+        So :meth:`plan_step` would admit nobody and decode the whole
+        running set (both peak-reservation policies) — this builds that
+        plan without the admission probe.
+        """
+        return StepPlan(decode_slots=self._slots_array(), table=self.table)
+
     def commit_leap(self, plan: StepPlan, steps: int) -> list:
-        """Advance KV accounting past ``steps`` leapt decode steps.
+        """Advance KV accounting past ``steps`` walked decode steps.
 
         Returns the per-step KV-utilization series the stepwise path
         would have recorded — constant here, because peak reservations
         only move at admission and release, neither of which happens
-        inside a leap.
+        inside a walk.
         """
         return [self.kv_utilization()] * steps
 

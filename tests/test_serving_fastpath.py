@@ -1,12 +1,13 @@
-"""Decode-leaping fast path: bit-identical to stepwise execution.
+"""Decode walks: bit-identical to stepwise execution.
 
-The engine's leap (:meth:`repro.serve.ServingEngine.step` with a
-horizon) commits K pure-decode steps analytically; the contract is that
-a leaping run's :class:`repro.serve.ServingReport` — every record,
-every per-step series, every accumulator — is *bit-identical* to
-stepwise execution (``leap=False``), across scheduler families,
-designs, and cluster modes.  These tests diff whole reports, field by
-field, with exact float equality.
+The engine's decode walk (:meth:`repro.serve.ServingEngine.step` with a
+horizon) commits a pure-decode plan's steps without replanning, through
+bucket crossings and the completing step; the contract is that a
+walking run's :class:`repro.serve.ServingReport` — every record, every
+per-step series, every accumulator — is *bit-identical* to stepwise
+execution (``leap=False``), across scheduler families, designs, and
+cluster modes.  These tests diff whole reports, field by field, with
+exact float equality.
 
 Also covered here: the shared, LRU-bounded step-cost cache
 (:mod:`repro.serve.costs`), the cost surface vs the op-list lowering,
@@ -14,6 +15,7 @@ Also covered here: the shared, LRU-bounded step-cost cache
 ``outstanding_tokens`` counters.
 """
 
+import math
 from dataclasses import fields
 
 import pytest
@@ -32,6 +34,7 @@ from repro.parallel import ParallelConfig, ShardedSystem
 from repro.serve import (
     BlockManager,
     LengthSpec,
+    PagedScheduler,
     PrefixSpec,
     Request,
     ServingEngine,
@@ -41,13 +44,14 @@ from repro.serve import (
     simulate_trace,
 )
 from repro.serve.costs import StepCostCache, step_cost_store
+from repro.serve.scheduler import SCHEDULERS
 
 TINY_GQA = ModelConfig(name="Tiny-GQA", family="llama2", n_layers=2,
                        n_heads=16, n_kv_heads=2, hidden_dim=512,
                        ffn_dim=1024, max_seq_len=2048, vocab_size=1000)
 
 #: Counters that legitimately differ between the fast and slow paths:
-#: a leap performs one cache lookup per *planned* step, and only the
+#: a walk performs one cache lookup per *planned* step, and only the
 #: fast path leaps at all.  Everything else must match bitwise.
 DIAGNOSTIC_FIELDS = {"step_cache_hits", "step_cache_misses",
                      "leap_steps"}
@@ -200,6 +204,183 @@ class TestClusterLeapBitIdentity:
         assert fast.kv_transfer_seconds == slow.kv_transfer_seconds
         for fr, sr in zip(fast.replicas, slow.replicas):
             assert_reports_identical(fr, sr)
+
+
+ALL_POLICIES = sorted(SCHEDULERS)
+
+#: Outputs long enough to cross several 4- and 8-token cost buckets.
+LONG_OUTPUT = LengthSpec("uniform", low=20, high=90)
+
+
+def crossing_dense_trace(n_requests, seed, rate_rps=40.0):
+    return poisson_trace(
+        n_requests=n_requests, rate_rps=rate_rps,
+        prompt=LengthSpec("uniform", low=4, high=60), output=LONG_OUTPUT,
+        prefix=PrefixSpec(share=0.5, n_groups=2,
+                          length=LengthSpec("fixed", value=32)),
+        priorities=(0, 1), seed=seed)
+
+
+def make_engine(policy, bucket, leap=True, max_batch=6):
+    paged = policy.startswith("paged")
+    scheduler = make_scheduler(
+        policy, TINY_GQA, max_batch=max_batch,
+        kv_capacity_bytes=PAGED_CAPACITY if paged else None,
+        **(PAGED_KWARGS if paged else {}))
+    return ServingEngine(make_design("mugi", 64), TINY_GQA, scheduler,
+                         seq_len_bucket=bucket, leap=leap)
+
+
+def run_ticked(engine, trace, tick):
+    """Serve ``trace`` like :meth:`ServingEngine.run`, but cap every
+    horizon ``tick`` seconds ahead — a foreign clock (another replica,
+    a fleet tick) that cuts walks mid-segment without submitting
+    anything, so each cut walk is resumed by the next call.
+
+    Arrivals wait while the scheduler says they are inert (they cannot
+    change the plan), as a walk through them under :meth:`run` lets
+    them wait; ingesting them at a tick would drop the cut walk."""
+    scheduler = engine.scheduler
+    engine.start(offered_rps=0.0)
+    pending = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
+    idx = 0
+    while idx < len(pending) or scheduler.has_work():
+        while idx < len(pending) and pending[idx].arrival_s <= engine.now \
+                and not scheduler.arrivals_inert():
+            engine.submit(pending[idx])
+            idx += 1
+        horizon = math.inf
+        if idx < len(pending) and not scheduler.arrivals_inert():
+            horizon = pending[idx].arrival_s
+        if not engine.step(horizon=min(horizon, engine.now + tick)):
+            engine.advance_to(pending[idx].arrival_s)
+    return engine.finish()
+
+
+def counters(report):
+    return (report.steps, report.leap_steps, report.step_cache_hits,
+            report.step_cache_misses)
+
+
+@pytest.fixture
+def chunk_leaps(monkeypatch):
+    """Steps of every leapt prefill chunk run (each makes a lookup)."""
+    steps = []
+    commit = PagedScheduler.commit_chunk_leap
+
+    def spy(scheduler, task, n):
+        steps.append(n)
+        return commit(scheduler, task, n)
+
+    monkeypatch.setattr(PagedScheduler, "commit_chunk_leap", spy)
+    return steps
+
+
+@pytest.fixture
+def walk_entries(monkeypatch):
+    """Every decode walk's cursor step at entry (0: fresh, >0: resumed)."""
+    entries = []
+    run_walk = ServingEngine._run_walk
+
+    def spy(engine, walk, horizon):
+        entries.append(walk.j)
+        return run_walk(engine, walk, horizon)
+
+    monkeypatch.setattr(ServingEngine, "_run_walk", spy)
+    return entries
+
+
+class TestDecodeWalk:
+    """Edge cases of the walk, each diffed against ``leap=False``."""
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("bucket", [4, 8])
+    def test_crossing_dense(self, policy, bucket, chunk_leaps):
+        trace = crossing_dense_trace(40, 21)
+        fast = run_trace(policy, True, trace, bucket=bucket)
+        leapt_chunks = sum(chunk_leaps)
+        slow = run_trace(policy, False, trace, bucket=bucket)
+        assert fast.leap_steps > 0
+        assert_reports_identical(fast, slow)
+        # One lookup per planned step, plus one per leapt chunk.
+        assert fast.step_cache_hits + fast.step_cache_misses == \
+            fast.steps - fast.leap_steps + leapt_chunks
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_horizon_cut_walks_resume(self, policy, walk_entries):
+        trace = crossing_dense_trace(30, 8)
+        plain = make_engine(policy, 4).run(trace)
+        del walk_entries[:]
+        fast = run_ticked(make_engine(policy, 4), trace, tick=0.003)
+        assert any(walk_entries), "no walk was cut and resumed"
+        slow = run_ticked(make_engine(policy, 4, leap=False), trace,
+                          tick=0.003)
+        assert_reports_identical(fast, slow)
+        # Resuming is the same walk: the cuts move no counter.
+        assert counters(fast) == counters(plain)
+
+    @pytest.mark.parametrize("mode", ["unified", "disaggregated"])
+    @pytest.mark.parametrize("policy", ["continuous", "static", "paged",
+                                        "paged-fair-share"])
+    def test_cluster_cut_walks_resume(self, mode, policy, walk_entries):
+        trace = crossing_dense_trace(45, 17, rate_rps=60.0)
+        reports = []
+        for leap in (True, False):
+            cluster = make_cluster(
+                make_design("mugi", 64), TINY_GQA, 4, policy=policy,
+                router="round-robin", mode=mode, max_batch=4,
+                kv_capacity_bytes=PAGED_CAPACITY
+                if policy.startswith("paged") else None,
+                scheduler_kwargs=PAGED_KWARGS
+                if policy.startswith("paged") else None,
+                seq_len_bucket=4, leap=leap)
+            reports.append(cluster.run(trace))
+        fast, slow = reports
+        assert any(walk_entries), "no walk was cut and resumed"
+        assert fast.records == slow.records
+        assert fast.makespan_s == slow.makespan_s
+        for fr, sr in zip(fast.replicas, slow.replicas):
+            assert_reports_identical(fr, sr)
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_completing_step_releases_a_cohort(self, policy,
+                                               monkeypatch):
+        # Four identical requests admitted together finish on the same
+        # step; a fifth keeps the batch busy past them.
+        trace = [Request(req_id=i, arrival_s=0.0, prompt_len=8,
+                         output_len=40) for i in range(4)]
+        trace.append(Request(req_id=4, arrival_s=0.0, prompt_len=8,
+                             output_len=70))
+        released = []
+        run_walk = ServingEngine._run_walk
+
+        def spy(engine, walk, horizon):
+            before = len(engine.report.records)
+            run_walk(engine, walk, horizon)
+            released.append(len(engine.report.records) - before)
+
+        monkeypatch.setattr(ServingEngine, "_run_walk", spy)
+        fast = run_trace(policy, True, trace, bucket=8)
+        assert 4 in released  # One walk's completing step took all four.
+        slow = run_trace(policy, False, trace, bucket=8)
+        finish = [r.finish_s for r in fast.records]
+        assert finish[:4] == [finish[0]] * 4 and finish[4] > finish[0]
+        assert_reports_identical(fast, slow)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           policy=st.sampled_from(ALL_POLICIES),
+           bucket=st.sampled_from([2, 4, 8, 32]),
+           n_requests=st.integers(3, 20),
+           rate_rps=st.sampled_from([5.0, 40.0, 400.0]),
+           tick=st.sampled_from([0.002, 0.02, math.inf]))
+    def test_property_random_traces(self, seed, policy, bucket,
+                                    n_requests, rate_rps, tick):
+        trace = crossing_dense_trace(n_requests, seed, rate_rps)
+        fast = run_ticked(make_engine(policy, bucket), trace, tick)
+        slow = run_ticked(make_engine(policy, bucket, leap=False), trace,
+                          tick)
+        assert_reports_identical(fast, slow)
 
 
 class TestStepCostSurface:
