@@ -8,7 +8,9 @@ a change to how steps are committed cannot silently re-attribute them.
 ``tests/data/step_counters.json`` holds, for every configuration of the
 grid below, ``steps``, ``leap_steps``, ``step_cache_hits``,
 ``step_cache_misses``, ``completed`` and a SHA-256 over the record
-tuples (every float as its exact hex form).
+tuples (every float as its exact hex form).  The grid covers one
+engine, unified and disaggregated clusters, and elastic fleets under
+the static and reactive scalers.
 
 Regenerate only after an *intended* change to the counting rules with::
 
@@ -24,9 +26,11 @@ import pytest
 from repro.arch import make_design
 from repro.llm import ModelConfig
 from repro.serve import (
+    ColdStartConfig,
     LengthSpec,
     PagedScheduler,
     PrefixSpec,
+    make_autoscaling_cluster,
     make_cluster,
     poisson_trace,
     simulate_trace,
@@ -51,7 +55,15 @@ POLICIES = {
                            {"block_size": 16, "chunk_tokens": 16},
                            PAGED_CAPACITY),
 }
-MODES = ("engine", "unified-3", "disaggregated-2+2")
+MODES = ("engine", "unified-3", "disaggregated-2+2", "fleet-static",
+         "fleet-reactive")
+#: Fleet scaler -> autoscaler kwargs.  The static fleet holds three
+#: replicas; the reactive one grows from one to four on 1 s ticks (with
+#: 0.5 s cold starts) as the queue builds, and shrinks as it drains.
+SCALERS = {
+    "static": {},
+    "reactive": {"target_tokens_per_replica": 1500.0},
+}
 BUCKETS = (8, 64)
 MAX_BATCH = 6
 
@@ -80,6 +92,14 @@ def run(family: str, mode: str, bucket: int):
                   seq_len_bucket=bucket)
     if mode == "engine":
         return simulate_trace(design, TINY_GQA, trace(), **common)
+    if mode.startswith("fleet-"):
+        scaler = mode.removeprefix("fleet-")
+        fleet = make_autoscaling_cluster(
+            design, TINY_GQA, 3 if scaler == "static" else 4,
+            autoscaler=scaler, autoscaler_kwargs=SCALERS[scaler],
+            tick_s=1.0, cold_start=ColdStartConfig(provision_s=0.5),
+            **common)
+        return fleet.run(trace())
     if mode == "unified-3":
         cluster = make_cluster(design, TINY_GQA, 3, router="round-robin",
                                **common)
