@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from ...arch import make_design
 from ...errors import ConfigError
 from ...llm.config import LLAMA2_70B_GQA, ModelConfig
@@ -120,8 +122,12 @@ def _run_point(design, model: ModelConfig, trace, policy: str,
         design, model, trace, policy=policy, max_batch=max_batch,
         kv_capacity_bytes=None if paged else capacity_bytes,
         seq_len_bucket=seq_len_bucket, scheduler_kwargs=scheduler_kwargs)
-    premium = [r.ttft_s for r in report.records
-               if r.request.priority > 0]
+    done = report.completions
+    priority = np.fromiter((q.priority for q in done.requests),
+                           dtype=np.int64, count=len(done))
+    ttft = done["first_token_s"] - done["arrival_s"]
+    # Python's float sum in completion order keeps the mean bit-stable.
+    premium = ttft[priority > 0].tolist()
     return PagedPoint(
         design=label or report.design, policy=policy,
         block_size=block_size,

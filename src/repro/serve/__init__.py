@@ -53,6 +53,7 @@ from .engine import ServingEngine, simulate_trace
 from .kv_cache import BlockManager, BlockPoolStats
 from .metrics import (
     ClusterReport,
+    CompletionStore,
     FleetReport,
     RequestRecord,
     ServingReport,
@@ -141,6 +142,7 @@ __all__ = [
     "ChunkTask",
     "ClusterReport",
     "ColdStartConfig",
+    "CompletionStore",
     "ContinuousBatchScheduler",
     "FCFSPolicy",
     "FairSharePolicy",

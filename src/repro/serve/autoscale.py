@@ -42,15 +42,15 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..llm.config import ModelConfig
-from .cluster import ServingCluster, _offered_rps
+from .cluster import _offered_rps
 from .engine import ServingEngine
-from .metrics import FleetReport
+from .metrics import CompletionStore, FleetReport
 from .router import Router, make_router
 from .scheduler import make_scheduler
 from .trace import Request, offered_load_rps
@@ -315,10 +315,6 @@ class FleetReplica:
     spun_up_s: float = 0.0
     #: When it became routable (== spun_up_s for warm starts).
     ready_s: float = 0.0
-    routed: int = 0
-    arrivals: list = field(default_factory=list)
-    #: Completion records already folded into the cluster view.
-    seen_records: int = 0
 
     @property
     def outstanding_tokens(self) -> int:
@@ -460,9 +456,9 @@ class AutoscalingCluster:
 
     def _retire(self, rep: FleetReplica, t: float) -> None:
         """Close an active/draining replica's session at time ``t``."""
-        rep.engine.report.offered_rps = _offered_rps(rep.arrivals)
-        self._reports.append(rep.engine.finish())
-        self._routed_counts.append(rep.routed)
+        report = rep.engine.finish()  # Every routed request completed.
+        report.offered_rps = _offered_rps(report.completions["arrival_s"])
+        self._reports.append(report)
         rep.state = "retired"
         self._replica_deltas.append(t - rep.spun_up_s)
         self._makespan = max(self._makespan, t)
@@ -493,11 +489,15 @@ class AutoscalingCluster:
         if outstanding_tokens is None:
             outstanding_tokens = sum(rep.outstanding_tokens
                                      for rep in active)
+        # Completions so far: retired sessions plus live ones.
+        completed = sum(report.completed for report in self._reports) + \
+            sum(rep.engine.report.completed for rep in self.fleet
+                if rep.state in ("active", "draining"))
         snapshot = FleetSnapshot(
             now_s=t, tick_s=self.tick_s, active=len(active),
             provisioning=len(booting),
             outstanding_tokens=outstanding_tokens,
-            inflight_requests=self._routed_total - self._completed_total,
+            inflight_requests=self._routed_total - completed,
             arrival_rate_rps=self._window_arrivals / self.tick_s)
         self._window_arrivals = 0
         scaler = self.autoscaler
@@ -564,10 +564,6 @@ class AutoscalingCluster:
                 # All future submissions to this engine happen at
                 # events >= next_event, so leaping up to it is causal.
                 if worker.engine.step(horizon=next_event):
-                    records = worker.engine.report.records
-                    fresh = records[worker.seen_records:]
-                    worker.seen_records = len(records)
-                    self._completed_total += len(fresh)
                     if worker.state == "draining" and \
                             not worker.engine.has_work():
                         self._retire(worker, worker.engine.now)
@@ -598,8 +594,6 @@ class AutoscalingCluster:
                 rep = self.router.select(sub, self._routable())
                 rep.engine.advance_to(request.arrival_s)
                 rep.engine.submit(sub)
-                rep.routed += 1
-                rep.arrivals.append(request.arrival_s)
                 self._routed_total += 1
                 self._window_arrivals += 1
                 continue
@@ -655,10 +649,6 @@ class AutoscalingCluster:
                     if active:
                         self._active_outstanding += \
                             worker.outstanding_tokens - before
-                    n_records = len(engine.report.records)
-                    self._completed_total += \
-                        n_records - worker.seen_records
-                    worker.seen_records = n_records
                     if engine.has_work():
                         heapq.heappush(heap, (engine.now, worker.index))
                     else:
@@ -711,8 +701,6 @@ class AutoscalingCluster:
                     engine.submit(sub)
                     self._active_outstanding += \
                         rep.outstanding_tokens - before
-                    rep.routed += 1
-                    rep.arrivals.append(request.arrival_s)
                     self._routed_total += 1
                     self._window_arrivals += 1
                     if not had_work:
@@ -749,7 +737,6 @@ class AutoscalingCluster:
         self.autoscaler.reset()
         self.fleet = []
         self._reports: list = []
-        self._routed_counts: list = []
         self._scale_events: list = []
         self._cold_starts = 0
         self._cold_start_seconds = 0.0
@@ -758,7 +745,6 @@ class AutoscalingCluster:
         self._makespan = 0.0
         self._window_arrivals = 0
         self._routed_total = 0
-        self._completed_total = 0
         self._booting: list = []
         self._ready_t = math.inf
         self._busy_count = 0
@@ -787,11 +773,6 @@ class AutoscalingCluster:
                                 dtype=np.float64, count=len(pending))
             self._drive_fleet(pending, times)
 
-        if self._completed_total != len(pending):
-            raise ConfigError(
-                f"fleet completed {self._completed_total} of "
-                f"{len(pending)} requests; completion merging lost "
-                f"records")
         end_t = self._makespan
         for rep in self.fleet:
             if rep.state in ("active", "draining"):
@@ -805,22 +786,18 @@ class AutoscalingCluster:
         # semantics (bit-equal to the retired-order += chain).
         replica_seconds = float(np.cumsum(np.asarray(
             self._replica_deltas))[-1]) if self._replica_deltas else 0.0
-        # Each retired replica's records are already in finish order;
-        # the fleet-wide (finish_s, req_id) order is a k-way merge of
-        # the per-replica streams (sorted first so simultaneous
-        # finishers of one step fall into req_id order; Timsort on the
-        # nearly-sorted stream is cheap).  req_ids are unique, so this
-        # equals the old global ``merged.sort(...)``.
-        key = ServingCluster._record_key
-        merged = list(heapq.merge(
-            *(sorted(report.records, key=key)
-              for report in self._reports), key=key))
+        completions = CompletionStore.merged(
+            [report.completions for report in self._reports])
+        if len(completions) != len(pending):
+            raise ConfigError(
+                f"fleet completed {len(completions)} of {len(pending)} "
+                f"requests; completion merging lost records")
         return FleetReport(
             design=self.name, router=self.router.name, mode="elastic",
-            replicas=self._reports, records=merged,
+            replicas=self._reports, completions=completions,
             makespan_s=self._makespan,
             offered_rps=offered_load_rps(trace),
-            routed=self._routed_counts,
+            routed=[report.completed for report in self._reports],
             autoscaler=self.autoscaler.name,
             scale_events=self._scale_events,
             cold_starts=self._cold_starts,

@@ -39,14 +39,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..parallel.collective import DEFAULT_INTERCONNECT, InterconnectConfig
 from .engine import ServingEngine
-from .metrics import ClusterReport, RequestRecord
+from .metrics import ClusterReport, CompletionStore
 from .router import Router, make_router
 from .scheduler import make_scheduler
 from .trace import Request, offered_load_rps
@@ -61,8 +61,6 @@ class Replica:
     index: int
     engine: ServingEngine
     role: str = "unified"  # "unified" | "prefill" | "decode"
-    routed: int = 0
-    arrivals: list = field(default_factory=list)
 
     @property
     def outstanding_tokens(self) -> int:
@@ -92,19 +90,26 @@ class Replica:
 _MIN_SPAN_S = 1e-9
 
 
-def _offered_rps(arrivals: list) -> float:
+def _positions(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Index of each ``wanted`` value in ``keys`` (unique, all found)."""
+    order = np.argsort(keys)
+    return order[np.searchsorted(keys, wanted, sorter=order)]
+
+
+def _offered_rps(arrivals) -> float:
     """Offered rate of one replica's routed sub-stream (0 if < 2).
 
     Degenerate same-instant streams report ``len(arrivals)`` over the
     :data:`_MIN_SPAN_S` floor — enormous, as an instantaneous burst
     deserves, but finite.  Streams with a real span are unchanged.
     """
-    if len(arrivals) < 2:
+    arrivals = np.asarray(arrivals, dtype=np.float64)
+    if arrivals.size < 2:
         return 0.0
-    span = max(arrivals) - min(arrivals)
+    span = float(arrivals.max() - arrivals.min())
     if span < _MIN_SPAN_S:
-        return len(arrivals) / _MIN_SPAN_S
-    return (len(arrivals) - 1) / span
+        return arrivals.size / _MIN_SPAN_S
+    return (arrivals.size - 1) / span
 
 
 class ServingCluster:
@@ -301,65 +306,65 @@ class ServingCluster:
         return bound if bound < next_event else next_event
 
     # -- the cluster event loop ------------------------------------------
-    @staticmethod
-    def _record_key(record: RequestRecord) -> tuple:
-        return (record.finish_s, record.request.req_id)
-
     def _route_to(self, rep: Replica, request: Request,
                   now: float) -> None:
         """Commit one routing decision (the router already chose)."""
         rep.engine.advance_to(now)
         rep.engine.submit(request)
-        rep.routed += 1
-        rep.arrivals.append(now)
         if rep.role == "prefill":
             self._prefill_min = None
 
     def _drain(self, rep: Replica) -> None:
-        """Fold a replica's new completions into the cluster view.
+        """Spawn the KV migrations of a prefill replica's new completions.
 
-        Unified replicas need no per-step drain at all (their records
-        are collected wholesale at teardown); this runs for the
-        disaggregated modes, where a prefill completion must spawn its
-        KV migration before the event loop continues.
+        Runs after every prefill-replica step, since a migration must
+        exist before the event loop continues.  The cluster-level rows
+        are stitched by column at teardown (:meth:`_stitch`).
         """
-        records = rep.engine.report.records
-        fresh = records[self._seen[rep.index]:]
-        self._seen[rep.index] = len(records)
-        finals = self._finals[rep.index]
-        for record in fresh:
+        store = rep.engine.report.completions
+        seen = self._seen[rep.index]
+        self._seen[rep.index] = len(store)
+        for half, finish in zip(store.requests[seen:],
+                                store["finish_s"][seen:].tolist()):
             # Entries live from routing until the prefill half drains —
             # popping here (rather than never) is what keeps a
             # million-request disaggregated run's memory flat.
-            if rep.role == "decode":
-                origin, first = self._prefill_half.pop(
-                    record.request.req_id)
-                finals.append(RequestRecord(
-                    request=origin, admitted_s=first.admitted_s,
-                    first_token_s=first.first_token_s,
-                    finish_s=record.finish_s))
-                continue
-            origin = self._origins.pop(record.request.req_id)
+            origin = self._origins.pop(half.req_id)
             if origin.output_len == 1:
-                # Nothing left to decode: done at the prefill side.
-                finals.append(RequestRecord(
-                    request=origin, admitted_s=record.admitted_s,
-                    first_token_s=record.first_token_s,
-                    finish_s=record.finish_s))
-            else:
-                moved, seconds = self._transfer(origin,
-                                                rep.engine.kvq_bits)
-                self._n_migrations += 1
-                self._transfer_bytes += moved
-                self._transfer_seconds += seconds
-                sub = self._decode_request(
-                    origin, arrival_s=record.finish_s + seconds)
-                # Tie-break by req_id, not push order: leaping can
-                # reorder which replica drains first, and the heap
-                # order must not depend on that.
-                heapq.heappush(self._migrations,
-                               (sub.arrival_s, sub.req_id, sub))
-                self._prefill_half[origin.req_id] = (origin, record)
+                continue  # Nothing left to decode: done at prefill.
+            moved, seconds = self._transfer(origin, rep.engine.kvq_bits)
+            self._n_migrations += 1
+            self._transfer_bytes += moved
+            self._transfer_seconds += seconds
+            sub = self._decode_request(origin, arrival_s=finish + seconds)
+            # Tie-break by req_id, not push order: leaping can reorder
+            # which replica drains first, and the heap order must not
+            # depend on that.
+            heapq.heappush(self._migrations, (sub.arrival_s, sub.req_id, sub))
+
+    def _stitch(self, reports: list, pending: list) -> CompletionStore:
+        """Cluster-level rows of a disaggregated run, by column.
+
+        Every request has one prefill-half row (arrival, admission,
+        first token); a migrated one takes its finish time from its
+        decode half, joined by ``req_id``.  Rows name the original
+        trace requests and their full output lengths.
+        """
+        pre, dec = (CompletionStore.merged(
+            [report.completions for rep, report in zip(self.replicas, reports)
+             if rep.role == role]) for role in ("prefill", "decode"))
+        if len(dec) != self._n_migrations:
+            raise ConfigError(
+                f"{self._n_migrations - len(dec)} migrated requests never "
+                f"completed decode; cluster bookkeeping is broken")
+        at = _positions(pre["req_id"], dec["req_id"])
+        pre["finish_s"][at] = dec["finish_s"]
+        pre["output_len"][at] = dec["output_len"] + 1
+        ids = np.fromiter((r.req_id for r in pending), dtype=np.int64,
+                          count=len(pending))
+        pre.requests = [pending[i] for i in
+                        _positions(ids, pre["req_id"]).tolist()]
+        return CompletionStore.merged([pre])
 
     def _drive_legacy(self, pending: list) -> None:
         """The pre-heap reference loop: one O(replicas) scan and one
@@ -393,7 +398,7 @@ class ServingCluster:
                     self._prefill_min = None
                 if worker.engine.step(
                         horizon=self._leap_horizon(worker, next_event)):
-                    if not unified:
+                    if worker.role == "prefill":
                         self._drain(worker)
                 elif next_event == inf:
                     raise ConfigError(
@@ -524,7 +529,8 @@ class ServingCluster:
                     self._prefill_min = None
                 if engine.step(
                         horizon=self._leap_horizon(worker, next_event)):
-                    self._drain(worker)
+                    if worker.role == "prefill":
+                        self._drain(worker)
                     if engine.has_work():
                         heapq.heappush(heap, (engine.now, worker.index))
                 elif next_event == inf:
@@ -583,14 +589,9 @@ class ServingCluster:
         self.decode_router.reset()
         for rep in self.replicas:
             rep.engine.start()
-            rep.routed = 0
-            rep.arrivals = []
         #: Migration heap of (arrival_s, req_id, Request).
         self._migrations: list = []
         self._origins: dict[int, Request] = {}
-        #: req_id -> (origin, prefill-half record), decode in flight.
-        self._prefill_half: dict[int, tuple] = {}
-        self._finals: list[list] = [[] for _ in self.replicas]
         self._seen = [0] * self.n_replicas
         self._n_migrations = 0
         self._transfer_bytes = 0.0
@@ -607,38 +608,23 @@ class ServingCluster:
             else:
                 self._drive_disaggregated(pending, times)
 
-        if self._prefill_half:
-            raise ConfigError(f"{len(self._prefill_half)} migrated "
-                              f"requests never completed decode; "
-                              f"cluster bookkeeping is broken")
         makespan = max(rep.engine.now for rep in self.replicas)
-        reports = []
-        for rep in self.replicas:
-            rep.engine.report.offered_rps = _offered_rps(rep.arrivals)
-            reports.append(rep.engine.finish())
-        # Each replica drains completions in its own clock order, so
-        # the cluster-wide (finish_s, req_id) order is a k-way merge of
-        # per-replica streams (sorted first: simultaneous finishers of
-        # one step land in running order, and Timsort on the
-        # nearly-sorted stream is cheap), not a full global sort.
-        # req_ids are unique, so the merged total order is exactly what
-        # ``merged.sort(...)`` produced.
-        if self.mode == "unified":
-            streams = [sorted(report.records, key=self._record_key)
-                       for report in reports]
-        else:
-            streams = [sorted(final, key=self._record_key)
-                       for final in self._finals]
-        merged = list(heapq.merge(*streams, key=self._record_key))
-        if len(merged) != len(pending):
+        reports = [rep.engine.finish() for rep in self.replicas]
+        for report in reports:  # Every routed request completed there.
+            report.offered_rps = _offered_rps(
+                report.completions["arrival_s"])
+        completions = CompletionStore.merged(
+            [report.completions for report in reports]) \
+            if self.mode == "unified" else self._stitch(reports, pending)
+        if len(completions) != len(pending):
             raise ConfigError(
-                f"cluster completed {len(merged)} of {len(pending)} "
+                f"cluster completed {len(completions)} of {len(pending)} "
                 f"requests; completion merging lost records")
         return ClusterReport(
             design=self.name, router=self.router.name, mode=self.mode,
-            replicas=reports, records=merged, makespan_s=makespan,
+            replicas=reports, completions=completions, makespan_s=makespan,
             offered_rps=offered_load_rps(trace),
-            routed=[rep.routed for rep in self.replicas],
+            routed=[report.completed for report in reports],
             migrations=self._n_migrations,
             kv_transfer_bytes=self._transfer_bytes,
             kv_transfer_seconds=self._transfer_seconds)

@@ -79,7 +79,7 @@ from ..arch.technology import TECH_45NM
 from ..errors import ConfigError
 from ..llm.config import ModelConfig
 from .costs import step_cost_store
-from .metrics import RequestRecord, ServingReport
+from .metrics import ServingReport
 from .scheduler import Scheduler, StepPlan, make_scheduler
 from .trace import Request, offered_load_rps
 
@@ -457,25 +457,17 @@ class ServingEngine:
                  now: float) -> None:
         """Record and release a completion cohort finishing at ``now``.
 
-        Records first (they only read state), then one cohort release —
-        the record order and every release side effect match the
-        interleaved per-state sequence.  The clock columns are gathered
-        once at the finishers' table rows ``fslots`` (every state
-        shares one table; None gathers the rows from the states).
+        The finishers' table rows ``fslots`` (None: gathered from the
+        states, which share one table) go to the report's completion
+        store, then one cohort release has every side effect of
+        releasing them one by one.
         """
-        records = self._report.records
         tab = finishers[0].table
         if fslots is None:
             fslots = np.fromiter((s.slot for s in finishers),
                                  dtype=np.int64, count=len(finishers))
-        admitted = tab.admitted_s[fslots].tolist()
-        firsts = tab.first_token_s[fslots].tolist()
-        for state, adm, first in zip(finishers, admitted, firsts):
-            records.append(RequestRecord(
-                request=state.request,
-                admitted_s=None if adm != adm else adm,
-                first_token_s=None if first != first else first,
-                finish_s=now))
+        self._report.completions.append(
+            [s.request for s in finishers], tab, fslots, now)
         self.scheduler.release_many(finishers)
 
     def _start_walk(self, plan: StepPlan, horizon: float) -> None:

@@ -1,20 +1,27 @@
 """Serving metrics: TTFT, TPOT, latency percentiles, goodput.
 
-The engine produces one :class:`RequestRecord` per completed request; a
-:class:`ServingReport` aggregates them into the latency–throughput
-numbers that serving papers plot (p50/p99 latency, goodput vs offered
-load).  :class:`ClusterReport` aggregates a multi-replica
-:class:`repro.serve.ServingCluster` run the same way — cluster-level
-TTFT/TPOT/goodput over the merged request records — and adds the
-per-replica utilization/balance view plus the disaggregated mode's
-KV-migration accounting.  Both share the :class:`RecordStats` mixin so
-a cluster report answers every latency question a single-engine report
-does.
+Each report keeps its completed requests in a columnar
+:class:`CompletionStore`: numpy columns (``req_id``, arrival, admission,
+first token, finish, output length, tenant) in completion order, which
+the engine appends once per release cohort from its
+:class:`~repro.serve.soa.SequenceTable` rows, plus the finishers' own
+:class:`Request` objects (references, not copies).  The
+:class:`RecordStats` mixin turns the columns into the numbers serving
+papers plot (p50/p99 latency, goodput vs offered load) for a
+:class:`ServingReport` (one engine) and a :class:`ClusterReport`, whose
+store merges the replicas' by concatenation and one ``np.lexsort`` on
+``(finish_s, req_id)``; the cluster report adds the per-replica balance
+view and the disaggregated mode's KV-migration accounting.
+
+``report.records`` (one :class:`RequestRecord` per row) is built on
+first read and cached, outside ``==`` and pickles.  Nothing in the
+package reads it: building a record costs about 2.5 µs, which made
+records the largest single cost of a 400k-request run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -24,7 +31,7 @@ from ..errors import ConfigError
 from .trace import Request
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestRecord:
     """Completion record of one served request (all times in seconds)."""
 
@@ -57,6 +64,103 @@ class RequestRecord:
         return self.finish_s - self.request.arrival_s
 
 
+class CompletionStore:
+    """Columnar completion records of one report (see module docstring).
+
+    ``store[name]`` views column ``name`` over the stored rows; columns
+    grow by doubling.  NaN clocks are a record's ``None`` clocks.
+    """
+
+    #: Every column but ``finish_s`` is also a SequenceTable column;
+    #: clocks (``*_s``) are float64, the rest int64.
+    COLUMNS = ("req_id", "arrival_s", "admitted_s", "first_token_s",
+               "finish_s", "output_len", "tenant")
+
+    def __init__(self, requests: list | None = None, **columns):
+        """A store over ``requests`` and their whole ``columns``."""
+        self.requests = [] if requests is None else requests
+        self._cols = {name: np.asarray(columns.get(name, ()), np.float64
+                                       if name.endswith("_s") else np.int64)
+                      for name in self.COLUMNS}
+
+    @classmethod
+    def merged(cls, stores) -> CompletionStore:
+        """Every row of ``stores``, in ``(finish_s, req_id)`` order."""
+        joined = {name: np.concatenate([s[name] for s in stores])
+                  for name in cls.COLUMNS}
+        order = np.lexsort((joined["req_id"], joined["finish_s"]))
+        requests = [r for s in stores for r in s.requests]
+        return cls([requests[i] for i in order.tolist()],
+                   **{name: col[order] for name, col in joined.items()})
+
+    def __len__(self) -> int:
+        return len(self.requests)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._cols[name][:len(self.requests)]
+
+    def append(self, requests: list, table, slots, finish_s: float) -> None:
+        """Add a release cohort: ``requests``, rows ``slots`` of ``table``."""
+        n = len(self.requests)
+        end = n + len(requests)
+        cols = self._cols
+        if end > len(cols["req_id"]):
+            cap = max(end, 2 * len(cols["req_id"]), 64)
+            for name, old in cols.items():
+                cols[name] = np.empty(cap, old.dtype)
+                cols[name][:n] = old[:n]
+        for name, col in cols.items():
+            col[n:end] = finish_s if name == "finish_s" \
+                else getattr(table, name)[slots]
+        self.requests += requests
+
+    def records(self, start: int = 0) -> list:
+        """One :class:`RequestRecord` per row from ``start`` on."""
+        clocks = [_floats(self[name][start:]) for name in
+                  ("admitted_s", "first_token_s", "finish_s")]
+        return [RequestRecord(q, *row) for q, *row in
+                zip(self.requests[start:], *clocks)]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CompletionStore):
+            return NotImplemented
+        return self.requests == other.requests and all(
+            np.array_equal(self[name], other[name], equal_nan=True)
+            for name in self.COLUMNS)
+
+    def __getstate__(self) -> dict:
+        return {"requests": self.requests,
+                "_cols": {name: self[name] for name in self.COLUMNS}}
+
+    def __repr__(self) -> str:
+        return f"CompletionStore({len(self)} rows)"
+
+
+def _floats(col: np.ndarray) -> list:
+    """``col`` as Python floats, NaN as None.  A run of equal values
+    shares one float, as a release cohort's records always shared their
+    finish time: a cohort-heavy store materializes in half the memory."""
+    if not col.size:
+        return []
+    cuts = [0, *(np.flatnonzero(col[1:] != col[:-1]) + 1).tolist(),
+            col.size]
+    return [None if v != v else v for v, a, b in zip(
+        col[cuts[:-1]].tolist(), cuts, cuts[1:]) for _ in range(b - a)]
+
+
+class _Records:
+    """``report.records``, built on first read and cached in
+    ``_records``; None on the class (the ``records=`` default)."""
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return None
+        records = report.__dict__.setdefault("_records", [])
+        if len(records) < len(report.completions):
+            records += report.completions.records(len(records))
+        return records
+
+
 def percentile(values, q: float) -> float:
     """The ``q``-th percentile (0–100) of a non-empty sequence."""
     if not 0.0 <= q <= 100.0:  # Also rejects NaN.
@@ -71,58 +175,54 @@ def percentile(values, q: float) -> float:
 
 
 class RecordStats:
-    """Latency/throughput aggregation over completed request records.
+    """Latency/throughput aggregation over completed requests.
 
-    Mixed into :class:`ServingReport` (one engine) and
-    :class:`ClusterReport` (merged cluster records): anything with a
-    ``records`` list and a ``makespan_s`` gets the full percentile /
-    goodput surface.
-
-    Aggregation is vectorized: the per-record timing columns are built
-    once as numpy arrays (rebuilt only when ``records`` changes length)
-    so every percentile/mean/goodput query over a 100k-request run is
-    one array pass instead of a Python loop.
+    Mixed into :class:`ServingReport` and :class:`ClusterReport`:
+    anything with a ``completions`` store and a ``makespan_s`` gets the
+    percentile / goodput surface and the lazy ``records`` list; a report
+    built with ``records=[RequestRecord, ...]`` gets a store over them.
+    The statistic columns are derived once per store size, so every
+    query over a 100k-request run is one array pass.
     """
 
-    records: list
+    completions: CompletionStore
     makespan_s: float
+    records = _Records()
+
+    def __post_init__(self, records) -> None:
+        if records is not None:  # Hand-built: a store over them.
+            records = list(records)
+            rows = [(r.request.req_id, r.request.arrival_s, r.admitted_s,
+                     r.first_token_s, r.finish_s, r.request.output_len,
+                     r.request.tenant) for r in records]  # COLUMNS order
+            self.completions = CompletionStore(
+                [r.request for r in records],
+                **dict(zip(CompletionStore.COLUMNS, zip(*rows))))
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_records"}
 
     def _columns(self) -> dict:
-        """Cached numpy timing columns over ``records``.
-
-        Keyed on the record count — reports only ever append records,
-        and :class:`RequestRecord` is frozen, so a same-length cache can
-        never be stale.
-        """
+        """Cached statistic columns over the completion store, keyed on
+        its row count (stores only ever append)."""
         cached = self.__dict__.get("_records_columns")
-        n = len(self.records)
+        store = self.completions
+        n = len(store)
         if cached is not None and cached["n"] == n:
             return cached
-        records = self.records
-        arrival = np.fromiter((r.request.arrival_s for r in records),
-                              np.float64, count=n)
-        admitted = np.fromiter((r.admitted_s for r in records),
-                               np.float64, count=n)
-        first = np.fromiter((r.first_token_s for r in records),
-                            np.float64, count=n)
-        finish = np.fromiter((r.finish_s for r in records),
-                             np.float64, count=n)
-        output_len = np.fromiter((r.request.output_len for r in records),
-                                 np.int64, count=n)
-        tenant = np.fromiter((r.request.tenant for r in records),
-                             np.int64, count=n)
-        extra = output_len - 1
+        arrival = store["arrival_s"]
+        first = store["first_token_s"]
+        finish = store["finish_s"]
+        extra = store["output_len"] - 1
         cached = {
             "n": n,
             "latency": finish - arrival,
             "ttft": first - arrival,
-            "queue_delay": admitted - arrival,
+            "queue_delay": store["admitted_s"] - arrival,
             # 0 for 1-token outputs, like RequestRecord.tpot_s.
             "tpot": np.where(extra > 0,
                              (finish - first) / np.maximum(extra, 1),
                              0.0),
-            "output_len": output_len,
-            "tenant": tenant,
         }
         self.__dict__["_records_columns"] = cached
         return cached
@@ -133,11 +233,11 @@ class RecordStats:
 
     @property
     def completed(self) -> int:
-        return len(self.records)
+        return len(self.completions)
 
     @property
     def generated_tokens(self) -> int:
-        return int(self._columns()["output_len"].sum())
+        return int(self.completions["output_len"].sum())
 
     @property
     def throughput_tokens_s(self) -> float:
@@ -179,7 +279,7 @@ class RecordStats:
             if not hasattr(slos, "items"):
                 from .policy import tenant_slo_map
                 slos = tenant_slo_map(slos)
-            tenant = cols["tenant"]
+            tenant = self.completions["tenant"]
             for tid, spec in slos.items():
                 mine = tenant == tid
                 t = getattr(spec, "ttft_slo_s", None)
@@ -217,23 +317,25 @@ class RecordStats:
             / max(self.makespan_s, 1e-12)
 
     def _require_completions(self) -> None:
-        if not self.records:
+        if not self.completed:
             raise ConfigError(
                 f"report for {self._label} has no "
                 f"completed requests; latency statistics are undefined")
 
+    def _stat(self, name: str) -> np.ndarray:
+        """Statistic column ``name``, which needs a completion."""
+        self._require_completions()
+        return self._columns()[name]
+
     # -- latency percentiles -------------------------------------------
     def latency_percentile(self, q: float) -> float:
-        self._require_completions()
-        return percentile(self._columns()["latency"], q)
+        return percentile(self._stat("latency"), q)
 
     def ttft_percentile(self, q: float) -> float:
-        self._require_completions()
-        return percentile(self._columns()["ttft"], q)
+        return percentile(self._stat("ttft"), q)
 
     def tpot_percentile(self, q: float) -> float:
-        self._require_completions()
-        return percentile(self._columns()["tpot"], q)
+        return percentile(self._stat("tpot"), q)
 
     def queue_delay_percentile(self, q: float) -> float:
         """Arrival-to-admission wait percentile.
@@ -242,8 +344,7 @@ class RecordStats:
         p99 queue delay is the first metric to blow up when admission
         starves behind a monster request.
         """
-        self._require_completions()
-        return percentile(self._columns()["queue_delay"], q)
+        return percentile(self._stat("queue_delay"), q)
 
     @property
     def p50_latency_s(self) -> float:
@@ -252,6 +353,10 @@ class RecordStats:
     @property
     def p99_latency_s(self) -> float:
         return self.latency_percentile(99)
+
+    @property
+    def p99_ttft_s(self) -> float:
+        return self.ttft_percentile(99)
 
     @property
     def p50_queue_delay_s(self) -> float:
@@ -263,18 +368,20 @@ class RecordStats:
 
     @property
     def mean_queue_delay_s(self) -> float:
-        self._require_completions()
-        return float(np.mean(self._columns()["queue_delay"]))
+        return float(np.mean(self._stat("queue_delay")))
 
     @property
     def mean_ttft_s(self) -> float:
-        self._require_completions()
-        return float(np.mean(self._columns()["ttft"]))
+        return float(np.mean(self._stat("ttft")))
 
     @property
     def mean_tpot_s(self) -> float:
-        self._require_completions()
-        return float(np.mean(self._columns()["tpot"]))
+        return float(np.mean(self._stat("tpot")))
+
+    def _latency_stats(self, *names: str) -> dict:
+        """The named statistics, None while nothing has completed."""
+        return {name: getattr(self, name) if self.completed else None
+                for name in names}
 
 
 @dataclass
@@ -283,7 +390,8 @@ class ServingReport(RecordStats):
 
     design: str
     scheduler: str
-    records: list = field(default_factory=list)
+    records: InitVar[list | None]  # Default None (see _Records).
+    completions: CompletionStore = field(default_factory=CompletionStore)
     makespan_s: float = 0.0
     energy_j: float = 0.0
     steps: int = 0
@@ -389,23 +497,11 @@ class ServingReport(RecordStats):
         return self.energy_j / max(self.generated_tokens, 1)
 
     def summary(self) -> dict:
-        """Flat dict of the headline numbers (for tables/plots).
-
-        Latency statistics are ``None`` when no request completed —
-        rates are 0 then, but percentiles have no defined value.
-        """
-        stats = dict.fromkeys(("p50_latency_s", "p99_latency_s",
-                               "mean_ttft_s", "mean_tpot_s",
-                               "p50_queue_delay_s", "p99_queue_delay_s"))
-        if self.records:
-            stats = {
-                "p50_latency_s": self.p50_latency_s,
-                "p99_latency_s": self.p99_latency_s,
-                "mean_ttft_s": self.mean_ttft_s,
-                "mean_tpot_s": self.mean_tpot_s,
-                "p50_queue_delay_s": self.p50_queue_delay_s,
-                "p99_queue_delay_s": self.p99_queue_delay_s,
-            }
+        """Flat dict of the headline numbers (for tables/plots); latency
+        statistics are None when no request completed."""
+        stats = self._latency_stats(
+            "p50_latency_s", "p99_latency_s", "mean_ttft_s", "mean_tpot_s",
+            "p50_queue_delay_s", "p99_queue_delay_s")
         return {
             "design": self.design,
             "scheduler": self.scheduler,
@@ -427,11 +523,11 @@ class ServingReport(RecordStats):
 class ClusterReport(RecordStats):
     """Aggregate outcome of one trace on a multi-replica cluster.
 
-    ``records`` holds one *cluster-level* :class:`RequestRecord` per
-    original trace request — in disaggregated mode the prefill and
-    decode halves are already merged, so TTFT comes from the prefill
-    replica and the finish time from the decode replica, with the KV
-    migration delay in between.  ``replicas`` keeps every engine's own
+    ``completions`` holds one *cluster-level* row per original trace
+    request — in disaggregated mode the prefill and decode halves are
+    already stitched, so TTFT comes from the prefill replica and the
+    finish time from the decode replica, with the KV migration delay in
+    between.  ``replicas`` keeps every engine's own
     :class:`ServingReport` for the per-replica view.
     """
 
@@ -439,7 +535,8 @@ class ClusterReport(RecordStats):
     router: str
     mode: str
     replicas: list = field(default_factory=list)
-    records: list = field(default_factory=list)
+    records: InitVar[list | None]  # Default None (see _Records).
+    completions: CompletionStore = field(default_factory=CompletionStore)
     makespan_s: float = 0.0
     offered_rps: float = 0.0
     #: Requests the router assigned to each replica, by replica index.
@@ -548,9 +645,7 @@ class ClusterReport(RecordStats):
     @property
     def tenants(self) -> list:
         """Sorted distinct tenant ids across completed requests."""
-        if not self.records:
-            return []
-        return [int(t) for t in np.unique(self._columns()["tenant"])]
+        return np.unique(self.completions["tenant"]).tolist()
 
     def per_tenant_summary(self, slos=None) -> dict:
         """Tenant id → completion/latency/goodput breakdown.
@@ -564,13 +659,14 @@ class ClusterReport(RecordStats):
         span = max(self.makespan_s, 1e-12)
         out = {}
         for tid in self.tenants:
-            mask = cols["tenant"] == tid
+            mask = self.completions["tenant"] == tid
             ttft = cols["ttft"][mask]
             tpot = cols["tpot"][mask]
             n_good = int((good & mask).sum())
             out[tid] = {
                 "completed": int(mask.sum()),
-                "generated_tokens": int(cols["output_len"][mask].sum()),
+                "generated_tokens": int(
+                    self.completions["output_len"][mask].sum()),
                 "good_completions": n_good,
                 "goodput_rps": n_good / span,
                 "mean_ttft_s": float(np.nanmean(ttft)),
@@ -583,19 +679,9 @@ class ClusterReport(RecordStats):
 
     def summary(self) -> dict:
         """Flat dict of the headline numbers (for tables/plots)."""
-        stats = dict.fromkeys(("p50_latency_s", "p99_latency_s",
-                               "mean_ttft_s", "p99_ttft_s", "mean_tpot_s",
-                               "p50_queue_delay_s", "p99_queue_delay_s"))
-        if self.records:
-            stats = {
-                "p50_latency_s": self.p50_latency_s,
-                "p99_latency_s": self.p99_latency_s,
-                "mean_ttft_s": self.mean_ttft_s,
-                "p99_ttft_s": self.ttft_percentile(99),
-                "mean_tpot_s": self.mean_tpot_s,
-                "p50_queue_delay_s": self.p50_queue_delay_s,
-                "p99_queue_delay_s": self.p99_queue_delay_s,
-            }
+        stats = self._latency_stats(
+            "p50_latency_s", "p99_latency_s", "mean_ttft_s", "p99_ttft_s",
+            "mean_tpot_s", "p50_queue_delay_s", "p99_queue_delay_s")
         return {
             "design": self.design,
             "router": self.router,

@@ -81,6 +81,7 @@ class SequenceState:
         table.prompt_len[i] = request.prompt_len
         table.output_len[i] = request.output_len
         table.arrival_s[i] = request.arrival_s
+        table.tenant[i] = request.tenant
         table.context_len[i] = context_len
         table.generated[i] = generated
         table.admitted_s[i] = np.nan if admitted_s is None else admitted_s
@@ -404,6 +405,7 @@ class Scheduler:
         table.prompt_len[slots] = plens
         table.output_len[slots] = olens
         table.arrival_s[slots] = arrivals
+        table.tenant[slots] = [r.tenant for r in requests]
         table.context_len[slots] = plens
         table.generated[slots] = 0
         table.admitted_s[slots] = now

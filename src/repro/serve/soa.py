@@ -7,11 +7,12 @@ simulator's wall-clock floor; at 1M requests it was the wall.  This
 module flips the layout: one :class:`SequenceTable` per scheduler holds
 every sequence's clocks (``admitted_s`` / ``first_token_s``), sequence
 lengths (``prompt_len`` / ``output_len`` / ``context_len``), remaining
-decode work (``generated`` vs ``output_len``), paged-prefill progress
-(``prefilled`` / ``prefill_target`` / ``cached_tokens``), KV block
-accounting (``kv_tokens``), and queue-state flags (``phase``) as
-parallel numpy arrays, so the engine expresses a step over a whole
-batch as a handful of array ops instead of a Python loop.
+decode work (``generated`` vs ``output_len``), the issuing ``tenant``,
+paged-prefill progress (``prefilled`` / ``prefill_target`` /
+``cached_tokens``), KV block accounting (``kv_tokens``), and queue-state
+flags (``phase``) as parallel numpy arrays, so the engine expresses a
+step over a whole batch as a handful of array ops instead of a Python
+loop.
 
 :class:`repro.serve.SequenceState` and
 :class:`repro.serve.PagedSequenceState` stay the public per-sequence
@@ -77,6 +78,7 @@ class SequenceTable:
         "preemptions",
         "swapped_tokens",
         "kv_tokens",
+        "tenant",
     )
     #: Wall clocks in seconds (float64; NaN encodes "not yet").
     FLOAT_COLUMNS = ("arrival_s", "admitted_s", "first_token_s")

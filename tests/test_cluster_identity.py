@@ -36,6 +36,8 @@ from repro.serve.costs import export_store_tables, step_cost_store
 from repro.serve.router import ROUTERS as ROUTER_REGISTRY
 from repro.serve.router import make_router
 
+from report_diff import assert_completions_identical
+
 TINY_GQA = ModelConfig(name="Tiny-GQA", family="llama2", n_layers=2,
                        n_heads=16, n_kv_heads=2, hidden_dim=512,
                        ffn_dim=1024, max_seq_len=2048, vocab_size=1000)
@@ -50,7 +52,6 @@ ROUTERS = tuple(sorted(ROUTER_REGISTRY))
 #: windows), so cache probes and leap counters attribute differently.
 DIAGNOSTIC_FIELDS = {"step_cache_hits", "step_cache_misses",
                      "leap_steps"}
-RECORD_FIELDS = ("request", "admitted_s", "first_token_s", "finish_s")
 
 
 def tiny_design():
@@ -62,13 +63,6 @@ def _trace(n=80, seed=11, rate=12.0):
                         output=SHORT, prefix=PREFIX, seed=seed)
 
 
-def _diff_records(fast, slow):
-    assert len(fast) == len(slow), "record counts differ"
-    for ra, rb in zip(fast, slow):
-        for name in RECORD_FIELDS:
-            assert getattr(ra, name) == getattr(rb, name), (name, ra, rb)
-
-
 def assert_cluster_reports_identical(fast, slow):
     """Field-by-field bitwise diff of two ClusterReports (and their
     per-replica ServingReports)."""
@@ -77,8 +71,8 @@ def assert_cluster_reports_identical(fast, slow):
         if f.name in DIAGNOSTIC_FIELDS:
             continue
         a, b = getattr(fast, f.name), getattr(slow, f.name)
-        if f.name == "records":
-            _diff_records(a, b)
+        if f.name == "completions":
+            assert_completions_identical(fast, slow)
         elif f.name == "replicas":
             assert len(a) == len(b), "replica counts differ"
             for rep_fast, rep_slow in zip(a, b):
@@ -87,8 +81,8 @@ def assert_cluster_reports_identical(fast, slow):
                         continue
                     ra = getattr(rep_fast, rf.name)
                     rb = getattr(rep_slow, rf.name)
-                    if rf.name == "records":
-                        _diff_records(ra, rb)
+                    if rf.name == "completions":
+                        assert_completions_identical(rep_fast, rep_slow)
                     else:
                         assert ra == rb, (rf.name, ra, rb)
         else:

@@ -46,6 +46,8 @@ from repro.serve import (
 from repro.serve.costs import StepCostCache, step_cost_store
 from repro.serve.scheduler import SCHEDULERS
 
+from report_diff import assert_completions_identical
+
 TINY_GQA = ModelConfig(name="Tiny-GQA", family="llama2", n_layers=2,
                        n_heads=16, n_kv_heads=2, hidden_dim=512,
                        ffn_dim=1024, max_seq_len=2048, vocab_size=1000)
@@ -56,8 +58,6 @@ TINY_GQA = ModelConfig(name="Tiny-GQA", family="llama2", n_layers=2,
 DIAGNOSTIC_FIELDS = {"step_cache_hits", "step_cache_misses",
                      "leap_steps"}
 
-RECORD_FIELDS = ("request", "admitted_s", "first_token_s", "finish_s")
-
 
 def assert_reports_identical(fast, slow):
     """Field-by-field bitwise diff of two ServingReports."""
@@ -65,12 +65,8 @@ def assert_reports_identical(fast, slow):
         if f.name in DIAGNOSTIC_FIELDS:
             continue
         a, b = getattr(fast, f.name), getattr(slow, f.name)
-        if f.name == "records":
-            assert len(a) == len(b), "record counts differ"
-            for ra, rb in zip(a, b):
-                for name in RECORD_FIELDS:
-                    assert getattr(ra, name) == getattr(rb, name), \
-                        (name, ra, rb)
+        if f.name == "completions":
+            assert_completions_identical(fast, slow)
         else:
             assert a == b, (f.name, a, b)
     assert fast.leap_steps > 0 or slow.steps == fast.steps

@@ -32,6 +32,7 @@ from repro.serve import (
 )
 from repro.serve.trace import requests_from_columns, trace_columns
 
+from report_diff import assert_completions_identical
 from test_sweep import TINY_GQA, _point
 
 #: Step-cost cache counters legitimately differ between cold and warm
@@ -39,8 +40,6 @@ from test_sweep import TINY_GQA, _point
 #: a report must match bitwise.
 DIAGNOSTIC_FIELDS = {"step_cache_hits", "step_cache_misses",
                      "leap_steps"}
-
-RECORD_FIELDS = ("request", "admitted_s", "first_token_s", "finish_s")
 
 
 def assert_reports_identical(a, b):
@@ -50,12 +49,8 @@ def assert_reports_identical(a, b):
         if f.name in DIAGNOSTIC_FIELDS:
             continue
         va, vb = getattr(a, f.name), getattr(b, f.name)
-        if f.name == "records":
-            assert len(va) == len(vb), "record counts differ"
-            for ra, rb in zip(va, vb):
-                for name in RECORD_FIELDS:
-                    assert getattr(ra, name) == getattr(rb, name), \
-                        (name, ra, rb)
+        if f.name == "completions":
+            assert_completions_identical(a, b)
         else:
             assert va == vb, (f.name, va, vb)
 
