@@ -200,7 +200,8 @@ class RecordStats:
                 **dict(zip(CompletionStore.COLUMNS, zip(*rows))))
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_records"}
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_records", "_records_columns")}  # Caches.
 
     def _columns(self) -> dict:
         """Cached statistic columns over the completion store, keyed on
