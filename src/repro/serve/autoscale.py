@@ -457,8 +457,10 @@ class AutoscalingCluster:
     def _retire(self, rep: FleetReplica, t: float) -> None:
         """Close an active/draining replica's session at time ``t``."""
         report = rep.engine.finish()  # Every routed request completed.
-        report.offered_rps = _offered_rps(report.completions["arrival_s"])
+        report.offered_rps = _offered_rps(
+            report.completions["arrival_s"].tolist())
         self._reports.append(report)
+        self._retired_completed += report.completed
         rep.state = "retired"
         self._replica_deltas.append(t - rep.spun_up_s)
         self._makespan = max(self._makespan, t)
@@ -490,9 +492,9 @@ class AutoscalingCluster:
             outstanding_tokens = sum(rep.outstanding_tokens
                                      for rep in active)
         # Completions so far: retired sessions plus live ones.
-        completed = sum(report.completed for report in self._reports) + \
-            sum(rep.engine.report.completed for rep in self.fleet
-                if rep.state in ("active", "draining"))
+        completed = self._retired_completed + sum(
+            rep.engine.report.completed for rep in self.fleet
+            if rep.state in ("active", "draining"))
         snapshot = FleetSnapshot(
             now_s=t, tick_s=self.tick_s, active=len(active),
             provisioning=len(booting),
@@ -745,6 +747,7 @@ class AutoscalingCluster:
         self._makespan = 0.0
         self._window_arrivals = 0
         self._routed_total = 0
+        self._retired_completed = 0
         self._booting: list = []
         self._ready_t = math.inf
         self._busy_count = 0
@@ -786,8 +789,8 @@ class AutoscalingCluster:
         # semantics (bit-equal to the retired-order += chain).
         replica_seconds = float(np.cumsum(np.asarray(
             self._replica_deltas))[-1]) if self._replica_deltas else 0.0
-        completions = CompletionStore.merged(
-            [report.completions for report in self._reports])
+        completions = CompletionStore.joined(
+            [report.completions for report in self._reports]).ordered()
         if len(completions) != len(pending):
             raise ConfigError(
                 f"fleet completed {len(completions)} of {len(pending)} "

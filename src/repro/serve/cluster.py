@@ -96,20 +96,19 @@ def _positions(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return order[np.searchsorted(keys, wanted, sorter=order)]
 
 
-def _offered_rps(arrivals) -> float:
+def _offered_rps(arrivals: list) -> float:
     """Offered rate of one replica's routed sub-stream (0 if < 2).
 
     Degenerate same-instant streams report ``len(arrivals)`` over the
     :data:`_MIN_SPAN_S` floor — enormous, as an instantaneous burst
     deserves, but finite.  Streams with a real span are unchanged.
     """
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    if arrivals.size < 2:
+    if len(arrivals) < 2:
         return 0.0
-    span = float(arrivals.max() - arrivals.min())
+    span = max(arrivals) - min(arrivals)
     if span < _MIN_SPAN_S:
-        return arrivals.size / _MIN_SPAN_S
-    return (arrivals.size - 1) / span
+        return len(arrivals) / _MIN_SPAN_S
+    return (len(arrivals) - 1) / span
 
 
 class ServingCluster:
@@ -350,7 +349,7 @@ class ServingCluster:
         decode half, joined by ``req_id``.  Rows name the original
         trace requests and their full output lengths.
         """
-        pre, dec = (CompletionStore.merged(
+        pre, dec = (CompletionStore.joined(
             [report.completions for rep, report in zip(self.replicas, reports)
              if rep.role == role]) for role in ("prefill", "decode"))
         if len(dec) != self._n_migrations:
@@ -364,7 +363,7 @@ class ServingCluster:
                           count=len(pending))
         pre.requests = [pending[i] for i in
                         _positions(ids, pre["req_id"]).tolist()]
-        return CompletionStore.merged([pre])
+        return pre.ordered()
 
     def _drive_legacy(self, pending: list) -> None:
         """The pre-heap reference loop: one O(replicas) scan and one
@@ -612,9 +611,9 @@ class ServingCluster:
         reports = [rep.engine.finish() for rep in self.replicas]
         for report in reports:  # Every routed request completed there.
             report.offered_rps = _offered_rps(
-                report.completions["arrival_s"])
-        completions = CompletionStore.merged(
-            [report.completions for report in reports]) \
+                report.completions["arrival_s"].tolist())
+        completions = CompletionStore.joined(
+            [report.completions for report in reports]).ordered() \
             if self.mode == "unified" else self._stitch(reports, pending)
         if len(completions) != len(pending):
             raise ConfigError(

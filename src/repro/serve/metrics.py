@@ -1,22 +1,16 @@
 """Serving metrics: TTFT, TPOT, latency percentiles, goodput.
 
-Each report keeps its completed requests in a columnar
-:class:`CompletionStore`: numpy columns (``req_id``, arrival, admission,
-first token, finish, output length, tenant) in completion order, which
-the engine appends once per release cohort from its
-:class:`~repro.serve.soa.SequenceTable` rows, plus the finishers' own
-:class:`Request` objects (references, not copies).  The
+A report keeps its completed requests in a :class:`CompletionStore`:
+numpy columns (``req_id``, arrival, admission, first token, finish,
+output length, tenant) in completion order, appended by the engine once
+per release cohort from its ``SequenceTable`` rows, plus the finishers'
+own :class:`Request` objects (references, not copies).  The
 :class:`RecordStats` mixin turns the columns into the numbers serving
-papers plot (p50/p99 latency, goodput vs offered load) for a
-:class:`ServingReport` (one engine) and a :class:`ClusterReport`, whose
-store merges the replicas' by concatenation and one ``np.lexsort`` on
-``(finish_s, req_id)``; the cluster report adds the per-replica balance
-view and the disaggregated mode's KV-migration accounting.
-
-``report.records`` (one :class:`RequestRecord` per row) is built on
-first read and cached, outside ``==`` and pickles.  Nothing in the
-package reads it: building a record costs about 2.5 µs, which made
-records the largest single cost of a 400k-request run.
+papers plot for a :class:`ServingReport` (one engine) and a
+:class:`ClusterReport` (replica stores joined and sorted once by
+``(finish_s, req_id)``, plus per-replica and KV-migration views).
+``report.records`` (one :class:`RequestRecord` per row, about 2.5 µs
+each) is built on first read and cached, outside ``==`` and pickles.
 """
 
 from __future__ import annotations
@@ -84,14 +78,18 @@ class CompletionStore:
                       for name in self.COLUMNS}
 
     @classmethod
-    def merged(cls, stores) -> CompletionStore:
-        """Every row of ``stores``, in ``(finish_s, req_id)`` order."""
-        joined = {name: np.concatenate([s[name] for s in stores])
-                  for name in cls.COLUMNS}
-        order = np.lexsort((joined["req_id"], joined["finish_s"]))
-        requests = [r for s in stores for r in s.requests]
-        return cls([requests[i] for i in order.tolist()],
-                   **{name: col[order] for name, col in joined.items()})
+    def joined(cls, stores) -> CompletionStore:
+        """Every row of ``stores``, store after store."""
+        return cls([q for s in stores for q in s.requests],
+                   **{name: np.concatenate([s[name] for s in stores])
+                      for name in cls.COLUMNS})
+
+    def ordered(self) -> CompletionStore:
+        """These rows in ``(finish_s, req_id)`` order."""
+        order = np.lexsort((self["req_id"], self["finish_s"]))
+        return CompletionStore([self.requests[i] for i in order.tolist()],
+                               **{name: self[name][order]
+                                  for name in self.COLUMNS})
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -131,9 +129,6 @@ class CompletionStore:
     def __getstate__(self) -> dict:
         return {"requests": self.requests,
                 "_cols": {name: self[name] for name in self.COLUMNS}}
-
-    def __repr__(self) -> str:
-        return f"CompletionStore({len(self)} rows)"
 
 
 def _floats(col: np.ndarray) -> list:
@@ -356,10 +351,6 @@ class RecordStats:
         return self.latency_percentile(99)
 
     @property
-    def p99_ttft_s(self) -> float:
-        return self.ttft_percentile(99)
-
-    @property
     def p50_queue_delay_s(self) -> float:
         return self.queue_delay_percentile(50)
 
@@ -500,9 +491,6 @@ class ServingReport(RecordStats):
     def summary(self) -> dict:
         """Flat dict of the headline numbers (for tables/plots); latency
         statistics are None when no request completed."""
-        stats = self._latency_stats(
-            "p50_latency_s", "p99_latency_s", "mean_ttft_s", "mean_tpot_s",
-            "p50_queue_delay_s", "p99_queue_delay_s")
         return {
             "design": self.design,
             "scheduler": self.scheduler,
@@ -510,7 +498,9 @@ class ServingReport(RecordStats):
             "completed": self.completed,
             "goodput_rps": self.goodput_rps(),
             "throughput_tokens_s": self.throughput_tokens_s,
-            **stats,
+            **self._latency_stats(
+                "p50_latency_s", "p99_latency_s", "mean_ttft_s",
+                "mean_tpot_s", "p50_queue_delay_s", "p99_queue_delay_s"),
             "energy_per_token_j": self.energy_per_token_j,
             "comm_seconds": self.comm_seconds,
             "steps": self.steps,
@@ -680,9 +670,6 @@ class ClusterReport(RecordStats):
 
     def summary(self) -> dict:
         """Flat dict of the headline numbers (for tables/plots)."""
-        stats = self._latency_stats(
-            "p50_latency_s", "p99_latency_s", "mean_ttft_s", "p99_ttft_s",
-            "mean_tpot_s", "p50_queue_delay_s", "p99_queue_delay_s")
         return {
             "design": self.design,
             "router": self.router,
@@ -692,7 +679,11 @@ class ClusterReport(RecordStats):
             "completed": self.completed,
             "goodput_rps": self.goodput_rps(),
             "throughput_tokens_s": self.throughput_tokens_s,
-            **stats,
+            **self._latency_stats("p50_latency_s", "p99_latency_s",
+                                  "mean_ttft_s"),
+            "p99_ttft_s": self.ttft_percentile(99) if self.completed else None,
+            **self._latency_stats("mean_tpot_s", "p50_queue_delay_s",
+                                  "p99_queue_delay_s"),
             "energy_per_token_j": self.energy_per_token_j,
             "steps": self.steps,
             "preemptions": self.preemptions,

@@ -7,12 +7,11 @@ simulator's wall-clock floor; at 1M requests it was the wall.  This
 module flips the layout: one :class:`SequenceTable` per scheduler holds
 every sequence's clocks (``admitted_s`` / ``first_token_s``), sequence
 lengths (``prompt_len`` / ``output_len`` / ``context_len``), remaining
-decode work (``generated`` vs ``output_len``), the issuing ``tenant``,
-paged-prefill progress (``prefilled`` / ``prefill_target`` /
-``cached_tokens``), KV block accounting (``kv_tokens``), and queue-state
-flags (``phase``) as parallel numpy arrays, so the engine expresses a
-step over a whole batch as a handful of array ops instead of a Python
-loop.
+decode work (``generated`` vs ``output_len``), paged-prefill progress
+(``prefilled`` / ``prefill_target`` / ``cached_tokens``), KV block
+accounting (``kv_tokens``), the issuing ``tenant`` and queue-state flags
+(``phase``) as parallel numpy arrays, so the engine expresses a step
+over a whole batch as a handful of array ops instead of a Python loop.
 
 :class:`repro.serve.SequenceState` and
 :class:`repro.serve.PagedSequenceState` stay the public per-sequence

@@ -42,6 +42,7 @@ from repro.serve import (
     make_cluster,
     make_scheduler,
     multi_tenant_trace,
+    poisson_trace,
     run_point,
     run_sweep,
     tenant_slo_map,
@@ -372,6 +373,34 @@ class TestFleetLifecycle:
         assert sum(r.completed for r in report.replicas) == len(trace)
         finishes = [r.finish_s for r in report.records]
         assert finishes == sorted(finishes)
+
+    def test_snapshot_inflight_is_live_queued_plus_running(self):
+        """Every tick's ``inflight_requests`` equals the requests
+        queued or running on live replicas, also after retirements."""
+        ticks = []
+
+        class Probe(ReactiveAutoscaler):
+            def desired(self, snapshot):
+                live = [rep.engine.scheduler for rep in fleet.fleet
+                        if rep.state in ("active", "draining")]
+                ticks.append((
+                    snapshot.inflight_requests,
+                    sum(len(s.queue) + len(s.running) for s in live),
+                    any(rep.state == "retired" for rep in fleet.fleet)))
+                return super().desired(snapshot)
+
+        # The queue builds past one replica's 1500-token target, then
+        # drains while the grown fleet retires replicas on 1 s ticks.
+        fleet = make_autoscaling_cluster(
+            tiny_design(), TINY_GQA, 4, policy="continuous", max_batch=6,
+            autoscaler=Probe(target_tokens_per_replica=1500.0),
+            tick_s=1.0, cold_start=ColdStartConfig(provision_s=0.5))
+        fleet.run(poisson_trace(n_requests=300, rate_rps=60.0,
+                                prompt=LengthSpec("uniform", low=4, high=80),
+                                output=LengthSpec("uniform", low=2,
+                                                  high=120), seed=3))
+        assert any(retired and inflight for inflight, _, retired in ticks)
+        assert [i for i, _, _ in ticks] == [n for _, n, _ in ticks]
 
     def test_static_fleet_matches_fixed_cluster(self):
         """The warm static fleet is the PR 4 cluster, record for
