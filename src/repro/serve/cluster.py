@@ -90,12 +90,6 @@ class Replica:
 _MIN_SPAN_S = 1e-9
 
 
-def _positions(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Index of each ``wanted`` value in ``keys`` (unique, all found)."""
-    order = np.argsort(keys)
-    return order[np.searchsorted(keys, wanted, sorter=order)]
-
-
 def _offered_rps(arrivals: list) -> float:
     """Offered rate of one replica's routed sub-stream (0 if < 2).
 
@@ -356,13 +350,12 @@ class ServingCluster:
             raise ConfigError(
                 f"{self._n_migrations - len(dec)} migrated requests never "
                 f"completed decode; cluster bookkeeping is broken")
-        at = _positions(pre["req_id"], dec["req_id"])
+        order = np.argsort(pre["req_id"])
+        at = order[np.searchsorted(pre["req_id"], dec["req_id"], sorter=order)]
         pre["finish_s"][at] = dec["finish_s"]
         pre["output_len"][at] = dec["output_len"] + 1
-        ids = np.fromiter((r.req_id for r in pending), dtype=np.int64,
-                          count=len(pending))
-        pre.requests = [pending[i] for i in
-                        _positions(ids, pre["req_id"]).tolist()]
+        origin = {q.req_id: q for q in pending}
+        pre.requests = [origin[rid] for rid in pre["req_id"].tolist()]
         return pre.ordered()
 
     def _drive_legacy(self, pending: list) -> None:

@@ -127,8 +127,14 @@ class CompletionStore:
             for name in self.COLUMNS)
 
     def __getstate__(self) -> dict:
-        return {"requests": self.requests,
-                "_cols": {name: self[name] for name in self.COLUMNS}}
+        """Requests and clocks: the other columns are request fields."""
+        return {"requests": self.requests, **{name: self[name] for name in
+                ("admitted_s", "first_token_s", "finish_s")}}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state, **{
+            name: [getattr(q, name) for q in state["requests"]]
+            for name in self.COLUMNS if name not in state})
 
 
 def _floats(col: np.ndarray) -> list:

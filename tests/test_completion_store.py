@@ -178,8 +178,11 @@ class TestHandBuiltReports:
 
 class TestPickling:
     @pytest.mark.parametrize("materialize", [False, True])
-    def test_report_round_trip(self, materialize):
-        report = clusters()["unified"].run(cohort_trace())
+    @pytest.mark.parametrize("kind", ["unified", "disaggregated", "fleet"])
+    def test_report_round_trip(self, kind, materialize):
+        # The replicas' stores and the cluster's (stitched, for
+        # disaggregated) store all rebuild their non-clock columns.
+        report = clusters()[kind].run(cohort_trace())
         if materialize:
             assert len(report.records) == N_REQUESTS
         clone = pickle.loads(pickle.dumps(report))
@@ -190,6 +193,9 @@ class TestPickling:
 
     def test_pickled_store_holds_only_its_rows(self):
         store = engine_report().completions
+        # The other columns are fields of the stored requests.
+        assert set(store.__getstate__()) == {
+            "requests", "admitted_s", "first_token_s", "finish_s"}
         clone = pickle.loads(pickle.dumps(store))
         assert clone == store
         assert all(clone._cols[name].size == len(store)
