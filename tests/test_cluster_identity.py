@@ -1,13 +1,24 @@
-"""Heap-scheduled fleet loops are bit-identical to the legacy scans.
+"""Heap-scheduled fleet loops match golden digests of reference runs.
 
-PR tentpole contract: the event-compressed cluster drive loops (lazy
-min-heap replica clock, batched cohort routing, cross-replica decode
-horizons, global quiescence leaps) must reproduce the legacy
-earliest-busy-replica scan loop *bit for bit* — every record, every
-accumulator, every per-replica report field — across unified,
-disaggregated, and autoscaling fleets under every router.  Only the
-diagnostic step-cache / leap counters may differ (the compressed loop
-plans fewer steps).
+The event-compressed cluster drive loops (lazy min-heap replica clock,
+batched cohort routing, cross-replica decode horizons, global
+quiescence leaps) must reproduce the earliest-busy-replica scan loops
+they replaced *bit for bit* — every completion, every accumulator,
+every per-replica report field — across unified, disaggregated, and
+autoscaling fleets under every router.
+``tests/data/cluster_identity.json`` holds one SHA-256 per
+configuration of the grid below, frozen from the scan loops: each
+digest covers every dataclass field of the fleet report and of each
+per-replica :class:`repro.serve.ServingReport` (floats as exact hex),
+and the completion stores bit for bit — every column plus the
+completed requests.  Only the diagnostic step-cache / leap counters
+are left out (the compressed loops plan fewer steps, so those
+attribute differently).
+
+Regenerate only after an *intended* change to the fleet semantics
+with::
+
+    PYTHONPATH=src python tests/test_cluster_identity.py
 
 Also here: a property test that batched routing
 (:meth:`repro.serve.router.Router.select_batch`) makes the same
@@ -16,8 +27,12 @@ warm-start surface snapshot (:meth:`StepCostSurface.export_tables` /
 ``install_tables``).
 """
 
-from dataclasses import fields
+import hashlib
+import json
+import pathlib
+from dataclasses import fields, is_dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +40,7 @@ from hypothesis import strategies as st
 from repro.arch import make_design
 from repro.llm import ModelConfig
 from repro.serve import (
+    CompletionStore,
     LengthSpec,
     PrefixSpec,
     Request,
@@ -36,7 +52,7 @@ from repro.serve.costs import export_store_tables, step_cost_store
 from repro.serve.router import ROUTERS as ROUTER_REGISTRY
 from repro.serve.router import make_router
 
-from report_diff import assert_completions_identical
+DATA = pathlib.Path(__file__).parent / "data" / "cluster_identity.json"
 
 TINY_GQA = ModelConfig(name="Tiny-GQA", family="llama2", n_layers=2,
                        n_heads=16, n_kv_heads=2, hidden_dim=512,
@@ -46,10 +62,18 @@ PREFIX = PrefixSpec(share=0.5, n_groups=4,
                     length=LengthSpec("fixed", value=32),
                     dup_share=0.3)
 ROUTERS = tuple(sorted(ROUTER_REGISTRY))
+SCALERS = ("static", "reactive", "predictive")
+#: Every router runs every one of these; one extra configuration runs
+#: the peak-reservation ``continuous`` policy on the default router.
+MODES = ("unified-paged-3", "disaggregated-paged-2+2",
+         *(f"fleet-{scaler}" for scaler in SCALERS))
+CONTINUOUS = ("unified-continuous-3", "round-robin")
+GRID = [(mode, router) for mode in MODES for router in ROUTERS] \
+    + [CONTINUOUS]
 
-#: Fields that legitimately differ between the compressed and legacy
-#: loops: the heap loop plans fewer steps (quiescence leaps, resumed
-#: windows), so cache probes and leap counters attribute differently.
+#: Fields left out of the digests: the heap loops plan fewer steps
+#: (quiescence leaps, resumed windows), so cache probes and leap
+#: counters attribute differently from the scan loops.
 DIAGNOSTIC_FIELDS = {"step_cache_hits", "step_cache_misses",
                      "leap_steps"}
 
@@ -63,81 +87,95 @@ def _trace(n=80, seed=11, rate=12.0):
                         output=SHORT, prefix=PREFIX, seed=seed)
 
 
-def assert_cluster_reports_identical(fast, slow):
-    """Field-by-field bitwise diff of two ClusterReports (and their
-    per-replica ServingReports)."""
-    assert type(fast) is type(slow)
-    for f in fields(slow):
-        if f.name in DIAGNOSTIC_FIELDS:
-            continue
-        a, b = getattr(fast, f.name), getattr(slow, f.name)
-        if f.name == "completions":
-            assert_completions_identical(fast, slow)
-        elif f.name == "replicas":
-            assert len(a) == len(b), "replica counts differ"
-            for rep_fast, rep_slow in zip(a, b):
-                for rf in fields(rep_slow):
-                    if rf.name in DIAGNOSTIC_FIELDS:
-                        continue
-                    ra = getattr(rep_fast, rf.name)
-                    rb = getattr(rep_slow, rf.name)
-                    if rf.name == "completions":
-                        assert_completions_identical(rep_fast, rep_slow)
-                    else:
-                        assert ra == rb, (rf.name, ra, rb)
-        else:
-            assert a == b, (f.name, a, b)
+def run(mode: str, router: str, **run_kwargs):
+    """The report of one grid configuration, on a fresh design."""
+    common = dict(router=router, seq_len_bucket=16, max_batch=8)
+    if mode == "unified-paged-3":
+        fleet = make_cluster(tiny_design(), TINY_GQA, 3, policy="paged",
+                             **common)
+        trace = _trace()
+    elif mode == "disaggregated-paged-2+2":
+        fleet = make_cluster(tiny_design(), TINY_GQA, 4, policy="paged",
+                             mode="disaggregated", **common)
+        trace = _trace(n=60, seed=7)
+    elif mode == "unified-continuous-3":
+        fleet = make_cluster(tiny_design(), TINY_GQA, 3,
+                             policy="continuous", **common)
+        trace = _trace(n=60, seed=3)
+    else:
+        fleet = make_autoscaling_cluster(
+            tiny_design(), TINY_GQA, 3, policy="paged", tick_s=5.0,
+            autoscaler=mode.removeprefix("fleet-"), **common)
+        trace = _trace(n=70, seed=13, rate=6.0)
+    return fleet.run(trace, **run_kwargs)
+
+
+def _canonical(value):
+    """``value`` as plain JSON data: dataclasses field by field (minus
+    the diagnostic counters), completion stores column by column as raw
+    bytes, every float as its exact hex form."""
+    if isinstance(value, CompletionStore):
+        return {"requests": _canonical(value.requests),
+                **{name: [value[name].dtype.str, value[name].tobytes().hex()]
+                   for name in CompletionStore.COLUMNS}}
+    if is_dataclass(value):
+        return {"type": type(value).__name__,
+                **{f.name: _canonical(getattr(value, f.name))
+                   for f in fields(value)
+                   if f.name not in DIAGNOSTIC_FIELDS}}
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    raise TypeError(f"no canonical form for {type(value).__name__}")
+
+
+def report_digest(report) -> str:
+    blob = json.dumps(_canonical(report), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def key(mode: str, router: str) -> str:
+    return f"{mode}/{router}"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(DATA.read_text())
+
+
+def assert_matches_golden(golden, mode, router):
+    assert report_digest(run(mode, router)) == golden[key(mode, router)], \
+        f"{key(mode, router)} no longer reproduces its frozen report"
 
 
 class TestClusterIdentity:
     @pytest.mark.parametrize("router", ROUTERS)
-    def test_unified_heap_matches_legacy(self, router):
-        trace = _trace()
-        fast = make_cluster(tiny_design(), TINY_GQA, 3, policy="paged",
-                            router=router, seq_len_bucket=16,
-                            max_batch=8).run(trace)
-        slow = make_cluster(tiny_design(), TINY_GQA, 3, policy="paged",
-                            router=router, seq_len_bucket=16,
-                            max_batch=8).run(trace, legacy=True)
-        assert_cluster_reports_identical(fast, slow)
+    def test_unified_heap_matches_legacy(self, golden, router):
+        assert_matches_golden(golden, "unified-paged-3", router)
 
     @pytest.mark.parametrize("router", ROUTERS)
-    def test_disaggregated_heap_matches_legacy(self, router):
-        trace = _trace(n=60, seed=7)
-        kwargs = dict(policy="paged", router=router,
-                      mode="disaggregated", seq_len_bucket=16,
-                      max_batch=8)
-        fast = make_cluster(tiny_design(), TINY_GQA, 4,
-                            **kwargs).run(trace)
-        slow = make_cluster(tiny_design(), TINY_GQA, 4,
-                            **kwargs).run(trace, legacy=True)
-        assert_cluster_reports_identical(fast, slow)
+    def test_disaggregated_heap_matches_legacy(self, golden, router):
+        assert_matches_golden(golden, "disaggregated-paged-2+2", router)
 
-    def test_unified_continuous_heap_matches_legacy(self):
-        trace = _trace(n=60, seed=3)
-        fast = make_cluster(tiny_design(), TINY_GQA, 3,
-                            policy="continuous", seq_len_bucket=16,
-                            max_batch=8).run(trace)
-        slow = make_cluster(tiny_design(), TINY_GQA, 3,
-                            policy="continuous", seq_len_bucket=16,
-                            max_batch=8).run(trace, legacy=True)
-        assert_cluster_reports_identical(fast, slow)
+    def test_unified_continuous_heap_matches_legacy(self, golden):
+        assert_matches_golden(golden, *CONTINUOUS)
+
+    def test_grid_covers_golden(self, golden):
+        """A router or scaler added later fails here until its digests
+        are frozen, instead of going unchecked."""
+        assert sorted(golden) == sorted(key(*cfg) for cfg in GRID)
 
 
 class TestFleetIdentity:
     @pytest.mark.parametrize("router", ROUTERS)
-    @pytest.mark.parametrize("autoscaler",
-                             ("static", "reactive", "predictive"))
-    def test_fleet_heap_matches_legacy(self, autoscaler, router):
-        trace = _trace(n=70, seed=13, rate=6.0)
-        kwargs = dict(autoscaler=autoscaler, policy="paged",
-                      router=router, tick_s=5.0, seq_len_bucket=16,
-                      max_batch=8)
-        fast = make_autoscaling_cluster(tiny_design(), TINY_GQA, 3,
-                                        **kwargs).run(trace)
-        slow = make_autoscaling_cluster(tiny_design(), TINY_GQA, 3,
-                                        **kwargs).run(trace, legacy=True)
-        assert_cluster_reports_identical(fast, slow)
+    @pytest.mark.parametrize("autoscaler", SCALERS)
+    def test_fleet_heap_matches_legacy(self, golden, autoscaler, router):
+        assert_matches_golden(golden, f"fleet-{autoscaler}", router)
 
     def test_per_replica_diagnostics_surface(self):
         report = make_cluster(tiny_design(), TINY_GQA, 3,
@@ -149,6 +187,14 @@ class TestFleetIdentity:
             sum(report.step_cache_hits_per_replica)
         assert report.step_cache_misses == \
             sum(report.step_cache_misses_per_replica)
+
+
+@pytest.mark.parametrize("mode,router", GRID,
+                         ids=[key(*cfg) for cfg in GRID])
+def test_scan_loops_match_golden(golden, mode, router):
+    """The scan loops the digests were frozen from still produce them."""
+    assert report_digest(run(mode, router, legacy=True)) == \
+        golden[key(mode, router)]
 
 
 class _StubReplica:
@@ -236,3 +282,14 @@ class TestWarmStartTables:
         again = sum(store.surface.install_tables(tables)
                     for *_spec, tables in entries)
         assert again == 0, "re-installing resident components is a no-op"
+
+
+def main() -> None:
+    table = {key(*cfg): report_digest(run(*cfg, legacy=True))
+             for cfg in GRID}
+    DATA.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(table)} configurations to {DATA}")
+
+
+if __name__ == "__main__":
+    main()
