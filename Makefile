@@ -3,7 +3,7 @@ PY ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint demos bench-gate bench-baseline sweep-smoke \
-	search-smoke auto-config perfbench-selftest
+	search-smoke perfbench-selftest
 
 test:
 	$(PY) -m pytest -x -q
@@ -45,6 +45,3 @@ sweep-smoke:
 # end-to-end with real workers.
 search-smoke:
 	$(PY) -m repro.analysis.experiments auto_config --smoke
-
-# Back-compat alias for the registry smoke above.
-auto-config: search-smoke

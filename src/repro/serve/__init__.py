@@ -39,7 +39,6 @@ from .autoscale import (
     AutoscalingCluster,
     ColdStartConfig,
     DEFAULT_COLD_START,
-    FleetReplica,
     FleetSnapshot,
     PredictiveAutoscaler,
     ReactiveAutoscaler,
@@ -146,7 +145,6 @@ __all__ = [
     "ContinuousBatchScheduler",
     "FCFSPolicy",
     "FairSharePolicy",
-    "FleetReplica",
     "FleetReport",
     "FleetSnapshot",
     "LeastOutstandingRouter",

@@ -48,11 +48,9 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..llm.config import ModelConfig
-from .cluster import _offered_rps
-from .engine import ServingEngine
-from .metrics import CompletionStore, FleetReport
+from .cluster import Replica, _engine_factory, _epilogue, _prologue
+from .metrics import FleetReport
 from .router import Router, make_router
-from .scheduler import make_scheduler
 from .trace import Request, offered_load_rps
 
 __all__ = [
@@ -61,7 +59,6 @@ __all__ = [
     "AutoscalingCluster",
     "ColdStartConfig",
     "DEFAULT_COLD_START",
-    "FleetReplica",
     "FleetSnapshot",
     "PredictiveAutoscaler",
     "ReactiveAutoscaler",
@@ -297,31 +294,6 @@ def make_autoscaler(autoscaler, **kwargs) -> Autoscaler:
             f"{sorted(AUTOSCALERS)}") from None
 
 
-@dataclass
-class FleetReplica:
-    """One elastic slot of the fleet plus its lifecycle bookkeeping.
-
-    ``state`` walks ``provisioning → active → draining → retired``
-    (warm initial replicas skip provisioning; scale-down may retire a
-    booting replica directly).  The router only ever sees ``active``
-    replicas; a draining replica finishes its in-flight work and
-    retires the moment its engine goes idle.
-    """
-
-    index: int
-    engine: ServingEngine
-    state: str = "provisioning"
-    #: When the scaler ordered this replica (on-time billing starts).
-    spun_up_s: float = 0.0
-    #: When it became routable (== spun_up_s for warm starts).
-    ready_s: float = 0.0
-
-    @property
-    def outstanding_tokens(self) -> int:
-        """Router-visible load (see Replica.outstanding_tokens)."""
-        return self.engine.scheduler.outstanding_tokens
-
-
 class AutoscalingCluster:
     """An elastic unified cluster: replicas spin up/down while serving.
 
@@ -366,17 +338,16 @@ class AutoscalingCluster:
             raise ConfigError("n_replicas must be positive")
         if tick_s <= 0:
             raise ConfigError("tick_s must be positive")
-        scheduler_kwargs = dict(scheduler_kwargs or {})
-        if "block_manager" in scheduler_kwargs:
-            raise ConfigError(
-                "pass kv_capacity_bytes, not a block_manager: a shared "
-                "pool instance would alias KV state across replicas")
         if slos and policy in ("continuous", "static"):
             raise ConfigError(
                 "tenant SLO scheduling needs a paged policy; the "
                 "peak-reservation schedulers take no slos")
         if slos:
-            scheduler_kwargs.setdefault("slos", tuple(slos))
+            scheduler_kwargs = {"slos": tuple(slos),
+                                **(scheduler_kwargs or {})}
+        self._new_engine = _engine_factory(
+            design, config, policy, max_batch, kv_capacity_bytes, kvq_bits,
+            scheduler_kwargs, seq_len_bucket, **engine_kwargs)
         self.design = design
         self.config = config
         self.router = make_router(router)
@@ -387,13 +358,6 @@ class AutoscalingCluster:
         self.tick_s = tick_s
         self.cold_start = cold_start
         self._cold_delay = cold_start.delay_s(config)
-        self._policy = policy
-        self._max_batch = max_batch
-        self._kv_capacity_bytes = kv_capacity_bytes
-        self._kvq_bits = kvq_bits
-        self._scheduler_kwargs = scheduler_kwargs
-        self._seq_len_bucket = seq_len_bucket
-        self._engine_kwargs = engine_kwargs
         design_name = getattr(design, "name", type(design).__name__)
         self.name = name if name is not None else \
             f"elastic {design_name} x<= {self.autoscaler.max_replicas}"
@@ -404,19 +368,9 @@ class AutoscalingCluster:
         probe = probe_engine._surface.price_step((), (1,), ())
         self.leakage_w = probe.leakage_w
         self.area_mm2 = probe.area_mm2
-        self.fleet: list[FleetReplica] = []
+        self.fleet: list[Replica] = []
 
     # -- replica lifecycle ----------------------------------------------
-    def _new_engine(self) -> ServingEngine:
-        scheduler = make_scheduler(
-            self._policy, self.config, max_batch=self._max_batch,
-            kv_capacity_bytes=self._kv_capacity_bytes,
-            kvq_bits=self._kvq_bits, **self._scheduler_kwargs)
-        return ServingEngine(self.design, self.config, scheduler,
-                             kvq_bits=self._kvq_bits,
-                             seq_len_bucket=self._seq_len_bucket,
-                             **self._engine_kwargs)
-
     def _routable(self) -> list:
         return [rep for rep in self.fleet if rep.state == "active"]
 
@@ -429,10 +383,10 @@ class AutoscalingCluster:
         self._ready_t = min((rep.ready_s for rep in self._booting),
                             default=math.inf)
 
-    def _spin_up(self, t: float, warm: bool = False) -> FleetReplica:
-        rep = FleetReplica(index=len(self.fleet),
-                           engine=self._new_engine(), spun_up_s=t,
-                           ready_s=t if warm else t + self._cold_delay)
+    def _spin_up(self, t: float, warm: bool = False) -> Replica:
+        rep = Replica(index=len(self.fleet), engine=self._new_engine(),
+                      state="provisioning", spun_up_s=t,
+                      ready_s=t if warm else t + self._cold_delay)
         self.fleet.append(rep)
         if warm:
             self._activate(rep, t)
@@ -442,7 +396,7 @@ class AutoscalingCluster:
             self._boot_changed()
         return rep
 
-    def _activate(self, rep: FleetReplica, t: float) -> None:
+    def _activate(self, rep: Replica, t: float) -> None:
         if rep.spun_up_s < rep.ready_s:
             self._cold_start_seconds += rep.ready_s - rep.spun_up_s
         if rep in self._booting:
@@ -454,11 +408,9 @@ class AutoscalingCluster:
         self._active_outstanding += rep.outstanding_tokens
         self._note_scale(t)
 
-    def _retire(self, rep: FleetReplica, t: float) -> None:
+    def _retire(self, rep: Replica, t: float) -> None:
         """Close an active/draining replica's session at time ``t``."""
-        report = rep.engine.finish()  # Every routed request completed.
-        report.offered_rps = _offered_rps(
-            report.completions["arrival_s"].tolist())
+        report = rep.engine.finish()
         self._reports.append(report)
         self._retired_completed += report.completed
         rep.state = "retired"
@@ -466,7 +418,7 @@ class AutoscalingCluster:
         self._makespan = max(self._makespan, t)
         self._note_scale(t)
 
-    def _cancel(self, rep: FleetReplica, t: float) -> None:
+    def _cancel(self, rep: Replica, t: float) -> None:
         """Abort a still-booting replica (its engine never started)."""
         rep.state = "retired"
         if rep in self._booting:
@@ -476,21 +428,15 @@ class AutoscalingCluster:
         self._cold_start_seconds += t - rep.spun_up_s
 
     # -- scaling decisions ----------------------------------------------
-    def _decide(self, t: float,
-                outstanding_tokens: int | None = None) -> None:
+    def _decide(self, t: float, outstanding_tokens: int) -> None:
         """One autoscaler consultation at tick ``t``.
 
         ``outstanding_tokens`` is the fleet-maintained incremental
-        counter when the compressed loop drives the run; the legacy
-        loop leaves it ``None`` and the sum is rescanned (the identity
-        tests check the two agree by way of identical decisions).
+        counter over the routable replicas (``_active_outstanding``).
         """
         active = self._routable()
         booting = [rep for rep in self.fleet
                    if rep.state == "provisioning"]
-        if outstanding_tokens is None:
-            outstanding_tokens = sum(rep.outstanding_tokens
-                                     for rep in active)
         # Completions so far: retired sessions plus live ones.
         completed = self._retired_completed + sum(
             rep.engine.report.completed for rep in self.fleet
@@ -533,87 +479,19 @@ class AutoscalingCluster:
                     self._retire(rep, t)
 
     # -- the fleet event loop --------------------------------------------
-    def _drive_legacy(self, pending: list) -> None:
-        """The pre-heap reference loop: per-iteration fleet rescans.
-
-        Kept verbatim as the ground truth the compressed loop's
-        identity tests diff against."""
-        inf = math.inf
-        idx = 0
-        n_pending = len(pending)
-        next_tick = self.tick_s
-        while True:
-            live = [rep for rep in self.fleet
-                    if rep.state in ("active", "draining")]
-            booting = [rep for rep in self.fleet
-                       if rep.state == "provisioning"]
-            any_work = any(rep.engine.has_work() for rep in live)
-            arrival_t = pending[idx].arrival_s if idx < n_pending \
-                else inf
-            ready_t = min((rep.ready_s for rep in booting), default=inf)
-            # Ticks stop once nothing can ever arrive or run again —
-            # the loop must not scale an empty fleet forever.
-            tick_t = next_tick if (idx < n_pending or any_work
-                                   or booting) else inf
-            next_event = min(arrival_t, ready_t, tick_t)
-            worker = None
-            worker_now = inf
-            for rep in live:
-                if rep.engine.has_work() and rep.engine.now < worker_now:
-                    worker = rep
-                    worker_now = rep.engine.now
-            if worker is not None and worker_now < next_event:
-                # All future submissions to this engine happen at
-                # events >= next_event, so leaping up to it is causal.
-                if worker.engine.step(horizon=next_event):
-                    if worker.state == "draining" and \
-                            not worker.engine.has_work():
-                        self._retire(worker, worker.engine.now)
-                elif next_event == inf:
-                    raise ConfigError(
-                        f"replica {worker.index} "
-                        f"({worker.engine.scheduler.name}) stalled with "
-                        f"work queued but nothing planned")
-                else:
-                    worker.engine.advance_to(next_event)
-                continue
-            if next_event == inf:
-                break
-            if ready_t <= arrival_t and ready_t <= tick_t:
-                for rep in booting:
-                    if rep.ready_s <= ready_t:
-                        self._activate(rep, ready_t)
-                continue
-            if arrival_t <= tick_t:
-                request = pending[idx]
-                idx += 1
-                if request.kv_ready:
-                    raise ConfigError(
-                        f"request {request.req_id} sets kv_ready; that "
-                        f"flag is cluster-internal")
-                # Re-instantiated per replica, like ServingCluster.
-                sub = replace(request)
-                rep = self.router.select(sub, self._routable())
-                rep.engine.advance_to(request.arrival_s)
-                rep.engine.submit(sub)
-                self._routed_total += 1
-                self._window_arrivals += 1
-                continue
-            self._decide(tick_t)
-            next_tick = tick_t + self.tick_s
-
     def _drive_fleet(self, pending: list, times: np.ndarray) -> None:
         """Compressed fleet loop: heap clock + cohorts + O(1) counters.
 
-        Replaces the legacy loop's four per-iteration fleet scans
-        (live list, booting list, any-work probe, earliest-busy
-        worker) with a lazily-invalidated ``(clock, index)`` min-heap
-        and incrementally maintained ``_busy_count`` / ``_ready_t`` /
-        ``_active_outstanding`` counters, and routes each arrival
-        cohort (every arrival below the earliest busy clock, next
-        boot, and next tick) through one batched
-        :meth:`Router.select_batch` dispatch.  Event order — and so
-        every report field — is identical to the legacy loop.
+        The earliest busy replica comes from a lazily-invalidated
+        ``(clock, index)`` min-heap (lowest index first on ties); the
+        live, booting and busy sets are tracked by incrementally
+        maintained ``_busy_count`` / ``_ready_t`` /
+        ``_active_outstanding`` counters instead of per-event fleet
+        scans; and each arrival cohort (every arrival below the
+        earliest busy clock, next boot, and next tick) routes through
+        one batched :meth:`Router.select_batch` dispatch.  Event order
+        — and so every report field — is that of a one-event-at-a-time
+        scan of the fleet (pinned by ``tests/data/cluster_identity.json``).
         """
         inf = math.inf
         heap: list = []   # (engine clock, fleet index), lazily stale.
@@ -688,12 +566,8 @@ class AutoscalingCluster:
                     upto = min(upto, int(np.searchsorted(
                         times, ready_t, side="left")))
 
-                def commit(request: Request, rep: FleetReplica) -> bool:
+                def commit(request: Request, rep: Replica) -> bool:
                     nonlocal idx, bound
-                    if request.kv_ready:
-                        raise ConfigError(
-                            f"request {request.req_id} sets kv_ready; "
-                            f"that flag is cluster-internal")
                     # Re-instantiated per replica, like ServingCluster.
                     sub = replace(request)
                     engine = rep.engine
@@ -720,21 +594,9 @@ class AutoscalingCluster:
             self._decide(tick_t, self._active_outstanding)
             next_tick = tick_t + self.tick_s
 
-    def run(self, trace: list[Request],
-            legacy: bool = False) -> FleetReport:
-        """Serve a trace on the elastic fleet; merge into one report.
-
-        ``legacy=True`` drives the pre-heap reference event loop; the
-        report is field-for-field identical either way (the identity
-        test suite enforces it), only wall-clock differs.
-        """
-        if not trace:
-            raise ConfigError("empty trace")
-        pending = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
-        ids = {r.req_id for r in pending}
-        if len(ids) != len(pending):
-            raise ConfigError("trace has duplicate req_ids; cluster "
-                              "completion merging needs unique ids")
+    def run(self, trace: list[Request]) -> FleetReport:
+        """Serve a trace on the elastic fleet; merge into one report."""
+        pending, times = _prologue(trace)
         self.router.reset()
         self.autoscaler.reset()
         self.fleet = []
@@ -769,12 +631,7 @@ class AutoscalingCluster:
         if error:
             raise ConfigError(f"unservable trace: {error}")
 
-        if legacy:
-            self._drive_legacy(pending)
-        else:
-            times = np.fromiter((r.arrival_s for r in pending),
-                                dtype=np.float64, count=len(pending))
-            self._drive_fleet(pending, times)
+        self._drive_fleet(pending, times)
 
         end_t = self._makespan
         for rep in self.fleet:
@@ -789,12 +646,7 @@ class AutoscalingCluster:
         # semantics (bit-equal to the retired-order += chain).
         replica_seconds = float(np.cumsum(np.asarray(
             self._replica_deltas))[-1]) if self._replica_deltas else 0.0
-        completions = CompletionStore.joined(
-            [report.completions for report in self._reports]).ordered()
-        if len(completions) != len(pending):
-            raise ConfigError(
-                f"fleet completed {len(completions)} of {len(pending)} "
-                f"requests; completion merging lost records")
+        completions = _epilogue(self._reports, pending)
         return FleetReport(
             design=self.name, router=self.router.name, mode="elastic",
             replicas=self._reports, completions=completions,

@@ -40,6 +40,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -56,11 +57,24 @@ __all__ = ["Replica", "ServingCluster", "make_cluster"]
 
 @dataclass
 class Replica:
-    """One engine of the cluster plus its routing-time view."""
+    """One engine of a cluster or elastic fleet plus its routing-time view.
+
+    On an elastic fleet ``state`` walks ``provisioning → active →
+    draining → retired`` (warm initial replicas skip provisioning;
+    scale-down may retire a booting replica directly).  The router only
+    ever sees ``active`` replicas; a draining replica finishes its
+    in-flight work and retires the moment its engine goes idle.  A fixed
+    cluster's replicas stay ``active``.
+    """
 
     index: int
     engine: ServingEngine
     role: str = "unified"  # "unified" | "prefill" | "decode"
+    state: str = "active"
+    #: When the scaler ordered this replica (on-time billing starts).
+    spun_up_s: float = 0.0
+    #: When it became routable (== spun_up_s for warm starts).
+    ready_s: float = 0.0
 
     @property
     def outstanding_tokens(self) -> int:
@@ -103,6 +117,76 @@ def _offered_rps(arrivals: list) -> float:
     if span < _MIN_SPAN_S:
         return len(arrivals) / _MIN_SPAN_S
     return (len(arrivals) - 1) / span
+
+
+def _engine_factory(design, config, policy: str, max_batch: int,
+                    kv_capacity_bytes: float | None, kvq_bits: int,
+                    scheduler_kwargs: dict | None, seq_len_bucket: int,
+                    **engine_kwargs) -> partial:
+    """``build(replica_policy=policy)``: a fresh replica engine per call.
+
+    Every engine gets its own scheduler (and, for the paged policies,
+    its own block pool); ``scheduler_kwargs`` apply to ``policy``
+    replicas only.  A partial, not a closure, so a fleet holding one
+    still pickles.
+    """
+    scheduler_kwargs = dict(scheduler_kwargs or {})
+    if "block_manager" in scheduler_kwargs:
+        raise ConfigError(
+            "pass kv_capacity_bytes, not a block_manager: a shared pool "
+            "instance would alias KV state across replicas")
+    return partial(_new_engine, design, config, policy, max_batch,
+                   kv_capacity_bytes, kvq_bits, scheduler_kwargs,
+                   seq_len_bucket, engine_kwargs)
+
+
+def _new_engine(design, config, policy, max_batch, kv_capacity_bytes,
+                kvq_bits, scheduler_kwargs, seq_len_bucket, engine_kwargs,
+                replica_policy: str | None = None) -> ServingEngine:
+    replica_policy = replica_policy or policy
+    kwargs = scheduler_kwargs if replica_policy == policy else {}
+    scheduler = make_scheduler(replica_policy, config, max_batch=max_batch,
+                               kv_capacity_bytes=kv_capacity_bytes,
+                               kvq_bits=kvq_bits, **kwargs)
+    return ServingEngine(design, config, scheduler, kvq_bits=kvq_bits,
+                         seq_len_bucket=seq_len_bucket, **engine_kwargs)
+
+
+def _prologue(trace: list[Request]) -> tuple:
+    """``(pending, times)``: the trace in arrival order, checked before
+    any replica steps, and its arrival times."""
+    if not trace:
+        raise ConfigError("empty trace")
+    pending = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
+    if len({r.req_id for r in pending}) != len(pending):
+        raise ConfigError("trace has duplicate req_ids; cluster "
+                          "completion merging needs unique ids")
+    for request in pending:
+        if request.kv_ready:
+            raise ConfigError(
+                f"request {request.req_id} sets kv_ready; that flag "
+                f"is cluster-internal (set on KV migration)")
+    return pending, np.fromiter((r.arrival_s for r in pending),
+                                dtype=np.float64, count=len(pending))
+
+
+def _epilogue(reports: list, pending: list,
+              completions: CompletionStore | None = None
+              ) -> CompletionStore:
+    """Close a run: each replica report's offered rate, then the
+    fleet-level rows (``reports`` joined unless ``completions`` is
+    given), checked against the trace."""
+    for report in reports:  # Every routed request completed there.
+        report.offered_rps = _offered_rps(
+            report.completions["arrival_s"].tolist())
+    if completions is None:
+        completions = CompletionStore.joined(
+            [report.completions for report in reports]).ordered()
+    if len(completions) != len(pending):
+        raise ConfigError(
+            f"completed {len(completions)} of {len(pending)} requests; "
+            f"completion merging lost records")
+    return completions
 
 
 class ServingCluster:
@@ -220,18 +304,10 @@ class ServingCluster:
 
     def _validate(self, pending: list) -> None:
         """Whole-trace admission check before simulating anything."""
-        ids = {r.req_id for r in pending}
-        if len(ids) != len(pending):
-            raise ConfigError("trace has duplicate req_ids; cluster "
-                              "completion merging needs unique ids")
         arrival_probes = self._distinct_schedulers(
             self._arrival_targets())
         decode_probes = self._distinct_schedulers(self._decode_targets())
         for request in pending:
-            if request.kv_ready:
-                raise ConfigError(
-                    f"request {request.req_id} sets kv_ready; that flag "
-                    f"is cluster-internal (set on KV migration)")
             probe = request if self.mode == "unified" \
                 else replace(request, output_len=1)
             for scheduler in arrival_probes:
@@ -358,69 +434,6 @@ class ServingCluster:
         pre.requests = [origin[rid] for rid in pre["req_id"].tolist()]
         return pre.ordered()
 
-    def _drive_legacy(self, pending: list) -> None:
-        """The pre-heap reference loop: one O(replicas) scan and one
-        ``step`` per iteration, one routed arrival per dispatch.
-
-        Kept verbatim as the ground truth the identity tests diff the
-        compressed loops against."""
-        inf = math.inf
-        idx = 0
-        n_pending = len(pending)
-        unified = self.mode == "unified"
-        while True:
-            arrival_t = pending[idx].arrival_s if idx < n_pending \
-                else inf
-            migration_t = self._migrations[0][0] if self._migrations \
-                else inf
-            next_event = arrival_t if arrival_t <= migration_t \
-                else migration_t
-            worker = None
-            worker_now = inf
-            for rep in self.replicas:
-                if rep.engine.has_work() and rep.engine.now < worker_now:
-                    worker = rep
-                    worker_now = rep.engine.now
-            if worker is not None and worker_now < next_event:
-                # Every arrival up to this step's start is routed, so
-                # the step is causally committed — and every leapt step
-                # starts strictly before the horizon, so the same holds
-                # for each step inside the leap.
-                if worker.role == "prefill":
-                    self._prefill_min = None
-                if worker.engine.step(
-                        horizon=self._leap_horizon(worker, next_event)):
-                    if worker.role == "prefill":
-                        self._drain(worker)
-                elif next_event == inf:
-                    raise ConfigError(
-                        f"replica {worker.index} "
-                        f"({worker.engine.scheduler.name}) stalled with "
-                        f"work queued but nothing planned")
-                else:
-                    worker.engine.advance_to(next_event)
-                continue
-            if next_event == inf:
-                break
-            if arrival_t <= migration_t:
-                request = pending[idx]
-                idx += 1
-                if unified:
-                    # Re-instantiated per replica: engines fed from one
-                    # trace must never share request objects.
-                    sub = replace(request)
-                else:
-                    self._origins[request.req_id] = request
-                    sub = replace(request, output_len=1)
-                targets = self._arrival_targets()
-                self._route_to(self.router.select(sub, targets), sub,
-                               request.arrival_s)
-            else:
-                when, _, sub = heapq.heappop(self._migrations)
-                targets = self._decode_targets()
-                self._route_to(self.decode_router.select(sub, targets),
-                               sub, when)
-
     def _drive_unified(self, pending: list, times: np.ndarray) -> None:
         """Unified-mode compressed loop: span advance + cohort routing.
 
@@ -485,10 +498,10 @@ class ServingCluster:
 
         Migration interleaving couples the replicas (a prefill
         completion spawns a decode-side arrival, and decode horizons
-        read prefill clocks), so the legacy loop's exact step order is
-        reproduced: a ``(clock, index)`` heap with lazy invalidation
-        picks each earliest busy replica in O(log replicas), matching
-        the linear scan's strict-``<`` lowest-index tie-break.
+        read prefill clocks), so steps commit in global clock order: a
+        ``(clock, index)`` heap with lazy invalidation picks each
+        earliest busy replica in O(log replicas), the lowest index
+        first on ties.
         """
         replicas = self.replicas
         inf = math.inf
@@ -565,17 +578,9 @@ class ServingCluster:
                 self._route_to(rep, sub, when)
                 heapq.heappush(heap, (rep.engine.now, rep.index))
 
-    def run(self, trace: list[Request],
-            legacy: bool = False) -> ClusterReport:
-        """Serve a trace across the replicas; merge into one report.
-
-        ``legacy=True`` drives the pre-heap reference event loop; the
-        report is field-for-field identical either way (the identity
-        test suite enforces it), only wall-clock differs.
-        """
-        if not trace:
-            raise ConfigError("empty trace")
-        pending = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
+    def run(self, trace: list[Request]) -> ClusterReport:
+        """Serve a trace across the replicas; merge into one report."""
+        pending, times = _prologue(trace)
         self._validate(pending)
         self.router.reset()
         self.decode_router.reset()
@@ -590,28 +595,16 @@ class ServingCluster:
         self._transfer_seconds = 0.0
         self._prefill_min: float | None = None
 
-        if legacy:
-            self._drive_legacy(pending)
+        if self.mode == "unified":
+            self._drive_unified(pending, times)
         else:
-            times = np.fromiter((r.arrival_s for r in pending),
-                                dtype=np.float64, count=len(pending))
-            if self.mode == "unified":
-                self._drive_unified(pending, times)
-            else:
-                self._drive_disaggregated(pending, times)
+            self._drive_disaggregated(pending, times)
 
         makespan = max(rep.engine.now for rep in self.replicas)
         reports = [rep.engine.finish() for rep in self.replicas]
-        for report in reports:  # Every routed request completed there.
-            report.offered_rps = _offered_rps(
-                report.completions["arrival_s"].tolist())
-        completions = CompletionStore.joined(
-            [report.completions for report in reports]).ordered() \
-            if self.mode == "unified" else self._stitch(reports, pending)
-        if len(completions) != len(pending):
-            raise ConfigError(
-                f"cluster completed {len(completions)} of {len(pending)} "
-                f"requests; completion merging lost records")
+        completions = _epilogue(reports, pending, None
+                                if self.mode == "unified"
+                                else self._stitch(reports, pending))
         return ClusterReport(
             design=self.name, router=self.router.name, mode=self.mode,
             replicas=reports, completions=completions, makespan_s=makespan,
@@ -644,27 +637,14 @@ def make_cluster(design, config, n_replicas: int,
     """
     if n_replicas < 1:
         raise ConfigError("n_replicas must be positive")
-    scheduler_kwargs = dict(scheduler_kwargs or {})
-    if "block_manager" in scheduler_kwargs:
-        raise ConfigError(
-            "pass kv_capacity_bytes, not a block_manager: a shared pool "
-            "instance would alias KV state across replicas")
+    build = _engine_factory(design, config, policy, max_batch,
+                            kv_capacity_bytes, kvq_bits, scheduler_kwargs,
+                            seq_len_bucket, **engine_kwargs)
     if mode == "disaggregated" and prefill_replicas is None:
         prefill_replicas = max(1, n_replicas // 2)
-    engines = []
-    for index in range(n_replicas):
-        decode_side = mode == "disaggregated" and \
-            prefill_replicas is not None and index >= prefill_replicas
-        replica_policy = "continuous" if decode_side else policy
-        kwargs = {} if replica_policy != policy else scheduler_kwargs
-        scheduler = make_scheduler(replica_policy, config,
-                                   max_batch=max_batch,
-                                   kv_capacity_bytes=kv_capacity_bytes,
-                                   kvq_bits=kvq_bits, **kwargs)
-        engines.append(ServingEngine(design, config, scheduler,
-                                     kvq_bits=kvq_bits,
-                                     seq_len_bucket=seq_len_bucket,
-                                     **engine_kwargs))
+    engines = [build("continuous" if mode == "disaggregated"
+                     and index >= prefill_replicas else policy)
+               for index in range(n_replicas)]
     return ServingCluster(engines, router=router, mode=mode,
                           prefill_replicas=prefill_replicas,
                           decode_router=decode_router,

@@ -199,10 +199,9 @@ class SweepPoint:
     ``autoscaler``, and ``tick_s`` so every axis the cluster and
     autoscaling paths support is a declared, validated field.
     ``scheduler_kwargs`` stays for the long tail (preemption mode,
-    admit headroom, ...); the deprecated spelling of a promoted knob
-    through it still works but is normalized into the field (and
-    conflicts between the two spellings are rejected), so
-    ``point.block_size`` is always authoritative.
+    admit headroom, ...); a promoted knob passed through it is
+    rejected, so ``point.block_size`` is the one spelling and one
+    configuration has one memo key.
 
     ``scheduler_kwargs`` / ``autoscaler_kwargs`` are tuples of
     ``(name, value)`` pairs so the point stays hashable/frozen; dicts
@@ -308,17 +307,11 @@ class SweepPoint:
                     f"{self.n_replicas}, got {value}")
         remaining = dict(self.scheduler_kwargs)
         for name in ("block_size", "chunk_tokens"):
-            value = getattr(self, name)
             if name in remaining:
-                # Deprecated spelling: promote into the field so the
-                # point always carries the knob in one place.
-                legacy = int(remaining.pop(name))
-                if value is not None and int(value) != legacy:
-                    raise ConfigError(
-                        f"{name} given twice with different values: "
-                        f"field {value!r} vs scheduler_kwargs "
-                        f"{legacy!r}")
-                value = legacy if value is None else value
+                raise ConfigError(
+                    f"pass {name} as the SweepPoint field {name}=..., "
+                    f"not through scheduler_kwargs")
+            value = getattr(self, name)
             if value is None:
                 continue
             value = int(value)

@@ -14,6 +14,8 @@ ISSUE tentpole pinned here:
 """
 
 import math
+import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.serve import (
     ReactiveAutoscaler,
     Request,
     StaticAutoscaler,
+    ServingEngine,
     SweepPoint,
     TenantPriorityPolicy,
     TenantSLO,
@@ -47,6 +50,8 @@ from repro.serve import (
     run_sweep,
     tenant_slo_map,
 )
+
+from report_diff import assert_completions_identical
 
 TINY_GQA = ModelConfig(name="Tiny-GQA", family="llama2", n_layers=2,
                        n_heads=16, n_kv_heads=2, hidden_dim=512,
@@ -403,19 +408,22 @@ class TestFleetLifecycle:
         assert [i for i, _, _ in ticks] == [n for _, n, _ in ticks]
 
     def test_static_fleet_matches_fixed_cluster(self):
-        """The warm static fleet is the PR 4 cluster, record for
-        record — elasticity adds nothing when the scaler never moves."""
+        """The warm static fleet is the fixed cluster, bit for bit —
+        elasticity adds nothing when the scaler never moves: the same
+        completions, and every replica the same makespan, energy and
+        step count."""
         trace = tiny_trace(duration_s=60.0)
         fleet_report = tiny_fleet(
             "static", n_replicas=2, router="round-robin").run(trace)
         cluster_report = make_cluster(
             tiny_design(), TINY_GQA, 2, policy="paged",
             router="round-robin").run(trace)
-        a = sorted((r.request.req_id, r.first_token_s, r.finish_s)
-                   for r in fleet_report.records)
-        b = sorted((r.request.req_id, r.first_token_s, r.finish_s)
-                   for r in cluster_report.records)
-        assert a == b
+        assert_completions_identical(fleet_report, cluster_report)
+        assert len(fleet_report.replicas) == len(cluster_report.replicas)
+        for ours, theirs in zip(fleet_report.replicas,
+                                cluster_report.replicas):
+            assert (ours.makespan_s, ours.energy_j, ours.steps) == \
+                (theirs.makespan_s, theirs.energy_j, theirs.steps)
 
     def test_scale_events_recorded_and_cold_starts_priced(self):
         # The predictive scaler sizes on arrival rate, so the tiny
@@ -473,12 +481,37 @@ class TestFleetLifecycle:
         request = Request(req_id=0, arrival_s=0.0, prompt_len=8,
                           output_len=4)
         with pytest.raises(ConfigError, match="duplicate"):
-            fleet.run([request, replace_req(request)])
+            fleet.run([request, replace(request)])
 
+    def test_fleet_pickles(self):
+        """A fleet survives a pickle round trip and serves the same."""
+        trace = tiny_trace(duration_s=30.0)
+        fleet = tiny_fleet("reactive")
+        clone = pickle.loads(pickle.dumps(fleet))
+        assert_completions_identical(clone.run(trace), fleet.run(trace))
 
-def replace_req(request):
-    from dataclasses import replace as _replace
-    return _replace(request)
+    def test_kv_ready_rejected_before_any_step(self, monkeypatch):
+        """A migrated-KV request in a trace is rejected up front, not
+        when routing reaches it mid-run."""
+        steps = []
+        step = ServingEngine.step
+
+        def counted(self, *args, **kwargs):
+            steps.append(self)
+            return step(self, *args, **kwargs)
+
+        monkeypatch.setattr(ServingEngine, "step", counted)
+        trace = tiny_trace(duration_s=30.0)
+        trace[-1] = replace(trace[-1], kv_ready=True)
+        fleet = tiny_fleet(policy="continuous")
+        with pytest.raises(ConfigError, match="cluster-internal"):
+            fleet.run(trace)
+        assert steps == []
+        assert fleet.fleet == []
+        # The same trace without the flag runs, and steps.
+        trace[-1] = replace(trace[-1], kv_ready=False)
+        assert fleet.run(trace).completed == len(trace)
+        assert steps
 
 
 class TestFleetReportCost:

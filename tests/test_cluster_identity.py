@@ -1,13 +1,14 @@
-"""Heap-scheduled fleet loops match golden digests of reference runs.
+"""Heap-scheduled fleet loops match golden digests of the legacy loops.
 
 The event-compressed cluster drive loops (lazy min-heap replica clock,
 batched cohort routing, cross-replica decode horizons, global
-quiescence leaps) must reproduce the earliest-busy-replica scan loops
-they replaced *bit for bit* — every completion, every accumulator,
-every per-replica report field — across unified, disaggregated, and
-autoscaling fleets under every router.
-``tests/data/cluster_identity.json`` holds one SHA-256 per
-configuration of the grid below, frozen from the scan loops: each
+quiescence leaps) must reproduce the legacy earliest-busy-replica scan
+loops they replaced *bit for bit* — every completion, every
+accumulator, every per-replica report field — across unified,
+disaggregated, and autoscaling fleets under every router.  The scan
+loops are retired; ``tests/data/cluster_identity.json`` keeps their
+output as one SHA-256 per configuration of the grid below, frozen
+while they still ran (and matched by the heap loops then): each
 digest covers every dataclass field of the fleet report and of each
 per-replica :class:`repro.serve.ServingReport` (floats as exact hex),
 and the completion stores bit for bit — every column plus the
@@ -87,7 +88,7 @@ def _trace(n=80, seed=11, rate=12.0):
                         output=SHORT, prefix=PREFIX, seed=seed)
 
 
-def run(mode: str, router: str, **run_kwargs):
+def run(mode: str, router: str):
     """The report of one grid configuration, on a fresh design."""
     common = dict(router=router, seq_len_bucket=16, max_batch=8)
     if mode == "unified-paged-3":
@@ -107,7 +108,7 @@ def run(mode: str, router: str, **run_kwargs):
             tiny_design(), TINY_GQA, 3, policy="paged", tick_s=5.0,
             autoscaler=mode.removeprefix("fleet-"), **common)
         trace = _trace(n=70, seed=13, rate=6.0)
-    return fleet.run(trace, **run_kwargs)
+    return fleet.run(trace)
 
 
 def _canonical(value):
@@ -187,14 +188,6 @@ class TestFleetIdentity:
             sum(report.step_cache_hits_per_replica)
         assert report.step_cache_misses == \
             sum(report.step_cache_misses_per_replica)
-
-
-@pytest.mark.parametrize("mode,router", GRID,
-                         ids=[key(*cfg) for cfg in GRID])
-def test_scan_loops_match_golden(golden, mode, router):
-    """The scan loops the digests were frozen from still produce them."""
-    assert report_digest(run(mode, router, legacy=True)) == \
-        golden[key(mode, router)]
 
 
 class _StubReplica:
@@ -285,8 +278,7 @@ class TestWarmStartTables:
 
 
 def main() -> None:
-    table = {key(*cfg): report_digest(run(*cfg, legacy=True))
-             for cfg in GRID}
+    table = {key(*cfg): report_digest(run(*cfg)) for cfg in GRID}
     DATA.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} configurations to {DATA}")
 
