@@ -602,9 +602,9 @@ class ServingCluster:
 
         makespan = max(rep.engine.now for rep in self.replicas)
         reports = [rep.engine.finish() for rep in self.replicas]
-        completions = _epilogue(reports, pending, None
-                                if self.mode == "unified"
-                                else self._stitch(reports, pending))
+        stitched = None if self.mode == "unified" \
+            else self._stitch(reports, pending)
+        completions = _epilogue(reports, pending, stitched)
         return ClusterReport(
             design=self.name, router=self.router.name, mode=self.mode,
             replicas=reports, completions=completions, makespan_s=makespan,

@@ -305,9 +305,9 @@ class SweepPoint:
                     f"prefill_replicas must leave at least one decode "
                     f"replica: need 1 <= prefill_replicas < "
                     f"{self.n_replicas}, got {value}")
-        remaining = dict(self.scheduler_kwargs)
+        scheduler_kwargs = dict(self.scheduler_kwargs)
         for name in ("block_size", "chunk_tokens"):
-            if name in remaining:
+            if name in scheduler_kwargs:
                 raise ConfigError(
                     f"pass {name} as the SweepPoint field {name}=..., "
                     f"not through scheduler_kwargs")
@@ -323,7 +323,7 @@ class SweepPoint:
                     f"{name} applies to the paged scheduler stack, not "
                     f"policy={self.policy!r}")
         object.__setattr__(self, "scheduler_kwargs",
-                           tuple(sorted(remaining.items())))
+                           tuple(sorted(scheduler_kwargs.items())))
 
 
 @lru_cache(maxsize=None)
