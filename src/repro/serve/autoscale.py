@@ -17,6 +17,12 @@ on immediately:
   selecting them, their in-flight requests run to completion, and the
   replica retires the moment its engine goes idle.
 
+The fleet runs the event loop every replica fleet shares (see
+:mod:`repro.serve.cluster`): its decision ticks and cold-start
+boot-ready instants are event kinds a fixed cluster never schedules,
+and this module adds only the replica lifecycle behind them — spin-up,
+activation, drain-and-retire, and the scaler consultation itself.
+
 Three shipped scalers cover the comparison the autoscaling experiment
 runs: ``static`` (provision for peak and hold — the baseline),
 ``reactive`` (outstanding-work thresholds with scale-down hysteresis),
@@ -40,15 +46,14 @@ bit-identical under ``run_sweep`` with any ``jobs`` value.
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..llm.config import ModelConfig
-from .cluster import Replica, _engine_factory, _epilogue, _prologue
+from .cluster import Replica, _engine_factory, _epilogue, _Fleet, _prologue
 from .metrics import FleetReport
 from .router import Router, make_router
 from .trace import Request, offered_load_rps
@@ -88,13 +93,13 @@ class ColdStartConfig:
     woq_bits: int = 4
 
     def __post_init__(self):
-        if self.provision_s < 0:
+        if not self.provision_s >= 0:
             raise ConfigError("provision_s must be non-negative")
-        if self.link_bandwidth_bytes <= 0:
+        if not self.link_bandwidth_bytes > 0:
             raise ConfigError("link_bandwidth_bytes must be positive")
-        if self.link_latency_s < 0:
+        if not self.link_latency_s >= 0:
             raise ConfigError("link_latency_s must be non-negative")
-        if self.woq_bits < 1:
+        if not self.woq_bits >= 1:
             raise ConfigError("woq_bits must be positive")
 
     def delay_s(self, config: ModelConfig) -> float:
@@ -142,9 +147,9 @@ class Autoscaler:
     name = "autoscaler"
 
     def __init__(self, min_replicas: int = 1, max_replicas: int = 4):
-        if min_replicas < 1:
+        if not min_replicas >= 1:
             raise ConfigError("min_replicas must be positive")
-        if max_replicas < min_replicas:
+        if not max_replicas >= min_replicas:
             raise ConfigError("max_replicas must be >= min_replicas")
         self.min_replicas = min_replicas
         self.max_replicas = max_replicas
@@ -189,7 +194,7 @@ class ReactiveAutoscaler(Autoscaler):
                  scale_down_fraction: float = 0.5,
                  min_replicas: int = 1, max_replicas: int = 4):
         super().__init__(min_replicas, max_replicas)
-        if target_tokens_per_replica <= 0:
+        if not target_tokens_per_replica > 0:
             raise ConfigError(
                 "target_tokens_per_replica must be positive")
         if not 0.0 < scale_down_fraction <= 1.0:
@@ -228,15 +233,15 @@ class PredictiveAutoscaler(Autoscaler):
                  backlog_tokens_per_replica: float = 200_000.0,
                  min_replicas: int = 1, max_replicas: int = 4):
         super().__init__(min_replicas, max_replicas)
-        if replica_rps <= 0:
+        if not replica_rps > 0:
             raise ConfigError("replica_rps must be positive")
         if not 0.0 < alpha <= 1.0 or not 0.0 <= beta <= 1.0:
             raise ConfigError("alpha must be in (0, 1], beta in [0, 1]")
-        if horizon_s < 0:
+        if not horizon_s >= 0:
             raise ConfigError("horizon_s must be non-negative")
-        if headroom <= 0:
+        if not headroom > 0:
             raise ConfigError("headroom must be positive")
-        if backlog_tokens_per_replica <= 0:
+        if not backlog_tokens_per_replica > 0:
             raise ConfigError(
                 "backlog_tokens_per_replica must be positive")
         self.replica_rps = replica_rps
@@ -294,8 +299,13 @@ def make_autoscaler(autoscaler, **kwargs) -> Autoscaler:
             f"{sorted(AUTOSCALERS)}") from None
 
 
-class AutoscalingCluster:
+class AutoscalingCluster(_Fleet):
     """An elastic unified cluster: replicas spin up/down while serving.
+
+    It drives its replicas with the shared fleet event loop and adds
+    the lifecycle: :meth:`_spin_up` / :meth:`_activate` on scale-up,
+    draining and :meth:`_retire` (or :meth:`_cancel` of a boot) on
+    scale-down, and :meth:`_decide` at every tick.
 
     Construction mirrors :func:`repro.serve.make_cluster` (identical
     replicas of one design), with the replica *count* replaced by an
@@ -336,7 +346,7 @@ class AutoscalingCluster:
                  name: str | None = None, **engine_kwargs):
         if n_replicas < 1:
             raise ConfigError("n_replicas must be positive")
-        if tick_s <= 0:
+        if not tick_s > 0:
             raise ConfigError("tick_s must be positive")
         if slos and policy in ("continuous", "static"):
             raise ConfigError(
@@ -368,12 +378,9 @@ class AutoscalingCluster:
         probe = probe_engine._surface.price_step((), (1,), ())
         self.leakage_w = probe.leakage_w
         self.area_mm2 = probe.area_mm2
-        self.fleet: list[Replica] = []
+        self.replicas: list[Replica] = []
 
     # -- replica lifecycle ----------------------------------------------
-    def _routable(self) -> list:
-        return [rep for rep in self.fleet if rep.state == "active"]
-
     def _note_scale(self, t: float) -> None:
         n = len(self._routable())
         if not self._scale_events or self._scale_events[-1][1] != n:
@@ -384,10 +391,10 @@ class AutoscalingCluster:
                             default=math.inf)
 
     def _spin_up(self, t: float, warm: bool = False) -> Replica:
-        rep = Replica(index=len(self.fleet), engine=self._new_engine(),
+        rep = Replica(index=len(self.replicas), engine=self._new_engine(),
                       state="provisioning", spun_up_s=t,
                       ready_s=t if warm else t + self._cold_delay)
-        self.fleet.append(rep)
+        self.replicas.append(rep)
         if warm:
             self._activate(rep, t)
         else:
@@ -405,7 +412,6 @@ class AutoscalingCluster:
         rep.engine.start()
         rep.engine.advance_to(t)
         rep.state = "active"
-        self._active_outstanding += rep.outstanding_tokens
         self._note_scale(t)
 
     def _retire(self, rep: Replica, t: float) -> None:
@@ -428,26 +434,24 @@ class AutoscalingCluster:
         self._cold_start_seconds += t - rep.spun_up_s
 
     # -- scaling decisions ----------------------------------------------
-    def _decide(self, t: float, outstanding_tokens: int) -> None:
-        """One autoscaler consultation at tick ``t``.
-
-        ``outstanding_tokens`` is the fleet-maintained incremental
-        counter over the routable replicas (``_active_outstanding``).
-        """
+    def _decide(self, t: float, routed: int) -> None:
+        """One autoscaler consultation at tick ``t``, after ``routed``
+        trace arrivals have been routed."""
         active = self._routable()
-        booting = [rep for rep in self.fleet
+        booting = [rep for rep in self.replicas
                    if rep.state == "provisioning"]
         # Completions so far: retired sessions plus live ones.
         completed = self._retired_completed + sum(
-            rep.engine.report.completed for rep in self.fleet
+            rep.engine.report.completed for rep in self.replicas
             if rep.state in ("active", "draining"))
         snapshot = FleetSnapshot(
             now_s=t, tick_s=self.tick_s, active=len(active),
             provisioning=len(booting),
-            outstanding_tokens=outstanding_tokens,
-            inflight_requests=self._routed_total - completed,
-            arrival_rate_rps=self._window_arrivals / self.tick_s)
-        self._window_arrivals = 0
+            outstanding_tokens=sum(rep.outstanding_tokens
+                                   for rep in active),
+            inflight_requests=routed - completed,
+            arrival_rate_rps=(routed - self._routed_at_tick) / self.tick_s)
+        self._routed_at_tick = routed
         scaler = self.autoscaler
         want = max(scaler.min_replicas,
                    min(scaler.max_replicas,
@@ -473,133 +477,16 @@ class AutoscalingCluster:
                 key=lambda r: (r.outstanding_tokens, r.index))[:excess]
             for rep in victims:
                 rep.state = "draining"
-                self._active_outstanding -= rep.outstanding_tokens
                 self._note_scale(t)
                 if not rep.engine.has_work():
                     self._retire(rep, t)
 
-    # -- the fleet event loop --------------------------------------------
-    def _drive_fleet(self, pending: list, times: np.ndarray) -> None:
-        """Compressed fleet loop: heap clock + cohorts + O(1) counters.
-
-        The earliest busy replica comes from a lazily-invalidated
-        ``(clock, index)`` min-heap (lowest index first on ties); the
-        live, booting and busy sets are tracked by incrementally
-        maintained ``_busy_count`` / ``_ready_t`` /
-        ``_active_outstanding`` counters instead of per-event fleet
-        scans; and each arrival cohort (every arrival below the
-        earliest busy clock, next boot, and next tick) routes through
-        one batched :meth:`Router.select_batch` dispatch.  Event order
-        — and so every report field — is that of a one-event-at-a-time
-        scan of the fleet (pinned by ``tests/data/cluster_identity.json``).
-        """
-        inf = math.inf
-        heap: list = []   # (engine clock, fleet index), lazily stale.
-        idx = 0
-        n_pending = len(pending)
-        next_tick = self.tick_s
-        while True:
-            arrival_t = float(times[idx]) if idx < n_pending else inf
-            ready_t = self._ready_t
-            # Ticks stop once nothing can ever arrive or run again —
-            # the loop must not scale an empty fleet forever.
-            tick_t = next_tick if (idx < n_pending or self._busy_count
-                                   or self._booting) else inf
-            next_event = min(arrival_t, ready_t, tick_t)
-            worker = None
-            worker_now = inf
-            while heap:
-                clock, i = heap[0]
-                rep = self.fleet[i]
-                if rep.engine.now != clock or \
-                        not rep.engine.has_work():
-                    heapq.heappop(heap)  # Stale entry.
-                    continue
-                worker = rep
-                worker_now = clock
-                break
-            if worker is not None and worker_now < next_event:
-                # All future submissions to this engine happen at
-                # events >= next_event, so leaping up to it is causal.
-                heapq.heappop(heap)
-                engine = worker.engine
-                active = worker.state == "active"
-                before = worker.outstanding_tokens if active else 0
-                if engine.step(horizon=next_event):
-                    if active:
-                        self._active_outstanding += \
-                            worker.outstanding_tokens - before
-                    if engine.has_work():
-                        heapq.heappush(heap, (engine.now, worker.index))
-                    else:
-                        self._busy_count -= 1
-                        if worker.state == "draining":
-                            self._retire(worker, engine.now)
-                elif next_event == inf:
-                    raise ConfigError(
-                        f"replica {worker.index} "
-                        f"({engine.scheduler.name}) stalled with "
-                        f"work queued but nothing planned")
-                else:
-                    engine.advance_to(next_event)
-                    heapq.heappush(heap, (engine.now, worker.index))
-                continue
-            if next_event == inf:
-                break
-            if ready_t <= arrival_t and ready_t <= tick_t:
-                for rep in list(self._booting):
-                    if rep.ready_s <= ready_t:
-                        self._activate(rep, ready_t)
-                continue
-            if arrival_t <= tick_t:
-                # Arrival cohort: every arrival strictly before the
-                # next boot and no later than the earliest busy clock
-                # and the next tick routes back-to-back — nothing else
-                # can happen between them.  Routing can wake an idle
-                # replica whose clock then bounds the cohort (the
-                # commit callback shrinks it).
-                targets = self._routable()
-                bound = worker_now if worker_now < tick_t else tick_t
-                upto = n_pending if bound == inf else \
-                    int(np.searchsorted(times, bound, side="right"))
-                if ready_t < inf:
-                    upto = min(upto, int(np.searchsorted(
-                        times, ready_t, side="left")))
-
-                def commit(request: Request, rep: Replica) -> bool:
-                    nonlocal idx, bound
-                    # Re-instantiated per replica, like ServingCluster.
-                    sub = replace(request)
-                    engine = rep.engine
-                    had_work = engine.has_work()
-                    before = rep.outstanding_tokens
-                    engine.advance_to(request.arrival_s)
-                    engine.submit(sub)
-                    self._active_outstanding += \
-                        rep.outstanding_tokens - before
-                    self._routed_total += 1
-                    self._window_arrivals += 1
-                    if not had_work:
-                        self._busy_count += 1
-                        heapq.heappush(heap, (engine.now, rep.index))
-                    idx += 1
-                    now = engine.now
-                    if now < bound:
-                        bound = now
-                    return idx < upto and times[idx] <= bound
-
-                self.router.select_batch(pending[idx:upto], targets,
-                                         commit)
-                continue
-            self._decide(tick_t, self._active_outstanding)
-            next_tick = tick_t + self.tick_s
-
     def run(self, trace: list[Request]) -> FleetReport:
         """Serve a trace on the elastic fleet; merge into one report."""
         pending, times = _prologue(trace)
-        self.router.reset()
+        self._reset()
         self.autoscaler.reset()
-        self.fleet = []
+        self.replicas = []
         self._reports: list = []
         self._scale_events: list = []
         self._cold_starts = 0
@@ -607,13 +494,8 @@ class AutoscalingCluster:
         #: Per-retirement on-time spans, summed vectorized at teardown.
         self._replica_deltas: list = []
         self._makespan = 0.0
-        self._window_arrivals = 0
-        self._routed_total = 0
+        self._routed_at_tick = 0
         self._retired_completed = 0
-        self._booting: list = []
-        self._ready_t = math.inf
-        self._busy_count = 0
-        self._active_outstanding = 0
 
         # Initial ramp: the scaler's decision on an empty fleet, warm
         # at t=0 (the fleet predates the trace; only mid-run growth
@@ -627,17 +509,15 @@ class AutoscalingCluster:
                      int(self.autoscaler.desired(initial))))
         for _ in range(n0):
             self._spin_up(0.0, warm=True)
-        error = self.fleet[0].engine.scheduler.trace_error(pending)
-        if error:
-            raise ConfigError(f"unservable trace: {error}")
+        self._validate(pending)
 
-        self._drive_fleet(pending, times)
+        self._drive(pending, times)
 
         end_t = self._makespan
-        for rep in self.fleet:
+        for rep in self.replicas:
             if rep.state in ("active", "draining"):
                 end_t = max(end_t, rep.engine.now)
-        for rep in self.fleet:
+        for rep in self.replicas:
             if rep.state in ("active", "draining"):
                 self._retire(rep, end_t)
             elif rep.state == "provisioning":

@@ -1,22 +1,26 @@
-"""Cluster-scale serving: replicated engines behind a request router.
+"""Replica fleets: engines behind a request router on one global clock.
 
-:class:`ServingCluster` runs N independent engine replicas — each its
-own :class:`repro.serve.ServingEngine` over its own scheduler and (for
-the paged policies) its own :class:`repro.serve.BlockManager` pool —
+A fleet runs independent engine replicas — each its own
+:class:`repro.serve.ServingEngine` over its own scheduler and (for the
+paged policies) its own :class:`repro.serve.BlockManager` pool —
 against one arrival stream.  A :class:`repro.serve.router.Router`
-assigns every request to a replica at its arrival instant; the cluster
-then interleaves the replicas' steps in global time order through the
-engine's external-clock API (:meth:`~repro.serve.ServingEngine.start` /
-``submit`` / ``step`` / ``advance_to`` / ``finish``).
+assigns every request to a replica at its arrival instant; one event
+loop (``_Fleet._drive``) then interleaves the replicas' steps in global
+time order through the engine's external-clock API
+(:meth:`~repro.serve.ServingEngine.start` / ``submit`` / ``step`` /
+``advance_to`` / ``finish``).  :class:`ServingCluster` is the fixed
+fleet; :class:`repro.serve.AutoscalingCluster` is the elastic one, the
+same loop plus replica lifecycle events (boots and autoscaler ticks).
 
-Two deployment modes:
+Each replica has a role:
 
-* **unified** — every replica serves requests end to end (prefill and
-  decode), the iso-silicon baseline for router comparisons;
-* **disaggregated** — DistServe-style: the first ``prefill_replicas``
-  replicas run prefill only (any scheduler policy, so paged prefix
-  caches live here), the rest decode only.  When a prefill finishes,
-  the sequence's KV migrates to a decode replica over the cluster
+* **unified** — serves requests end to end (prefill and decode), the
+  iso-silicon baseline for router comparisons;
+* **prefill** / **decode** — DistServe-style disaggregation
+  (``mode="disaggregated"``): the first ``prefill_replicas`` replicas
+  run prefill only (any scheduler policy, so paged prefix caches live
+  here), the rest decode only.  When a prefill finishes, the
+  sequence's KV migrates to a decode replica over the cluster
   ``interconnect``: the transfer of the context's KV bytes is charged
   as arrival delay on the decode side (one
   :class:`~repro.parallel.InterconnectConfig` link hop), and the decode
@@ -28,7 +32,7 @@ up to the step's start has been routed, so router decisions at time
 ``t`` see each replica at its last step boundary — a lead/lag of less
 than one step, the same bounded staleness a real async router works
 under.  All tie-breaks are by replica index and any router randomness
-is seeded, so cluster runs are deterministic functions of
+is seeded, so fleet runs are deterministic functions of
 ``(trace, routers, replica construction)``.
 
 Requests are re-instantiated per replica (`dataclasses.replace`), so
@@ -189,7 +193,296 @@ def _epilogue(reports: list, pending: list,
     return completions
 
 
-class ServingCluster:
+class _Fleet:
+    """The event loop every replica fleet runs, fixed or elastic.
+
+    A fleet is a list of :class:`Replica` behind an arrival router.  Its
+    events are arrival cohorts, KV migrations, boot-ready instants and
+    autoscaler ticks; between two events the earliest busy replica
+    steps.  Replica roles shape the events: a ``prefill`` replica's
+    completions spawn migrations onto ``decode`` replicas (routed by
+    ``decode_router``), and a decode replica leaps no further than the
+    earliest busy prefill clock (:meth:`_leap_horizon`).  A fixed
+    cluster is the case without scaler events: it never ticks, nothing
+    boots and no replica drains.  :class:`repro.serve.AutoscalingCluster`
+    adds the lifecycle behind those events (``_activate``,
+    ``_retire``, ``_decide``).
+
+    Subclasses set ``replicas`` and ``router``; a fleet with
+    prefill/decode roles also sets ``decode_router``, ``config`` and
+    ``interconnect``.
+    """
+
+    #: Autoscaler decision cadence; a fixed fleet never ticks.
+    tick_s = math.inf
+
+    # -- views -----------------------------------------------------------
+    def _routable(self) -> list:
+        """Replicas taking trace arrivals: active, not decode-only."""
+        return [rep for rep in self.replicas
+                if rep.state == "active" and rep.role != "decode"]
+
+    def _decode_targets(self) -> list:
+        return [r for r in self.replicas if r.role == "decode"]
+
+    # -- validation ------------------------------------------------------
+    @staticmethod
+    def _distinct_schedulers(replicas: list) -> list:
+        """One scheduler per admission-equivalent class.
+
+        ``admission_error`` is a pure function of the scheduler's
+        construction parameters (model, capacity, quantization, block
+        geometry), so identical replicas — the common case — need one
+        trace check instead of N.
+        """
+        probes: dict = {}
+        for rep in replicas:
+            scheduler = rep.engine.scheduler
+            manager = getattr(scheduler, "block_manager", None)
+            key = (type(scheduler), scheduler.config,
+                   scheduler.kv_capacity_bytes, scheduler.kvq_bits,
+                   None if manager is None
+                   else (manager.num_blocks, manager.block_size))
+            probes.setdefault(key, scheduler)
+        return list(probes.values())
+
+    def _validate(self, pending: list) -> None:
+        """Whole-trace admission check before simulating anything.
+
+        Each role sees the requests it will serve: a unified replica
+        the trace itself, a prefill replica the one-token prefill half,
+        a decode replica the migrated half of every request with more
+        than one output token.
+        """
+        for role in dict.fromkeys(rep.role for rep in self.replicas):
+            if role == "unified":
+                probes = pending
+            elif role == "prefill":
+                probes = [replace(r, output_len=1) for r in pending]
+            else:
+                probes = [self._decode_request(r, arrival_s=0.0)
+                          for r in pending if r.output_len > 1]
+            for scheduler in self._distinct_schedulers(
+                    [rep for rep in self.replicas if rep.role == role]):
+                error = scheduler.trace_error(probes)
+                if error:
+                    raise ConfigError(f"unservable trace: {error}")
+
+    # -- disaggregation --------------------------------------------------
+    def _decode_request(self, origin: Request,
+                        arrival_s: float) -> Request:
+        """The decode-side half of a migrated request.
+
+        The prefill replica produced the first token, so the decode
+        replica sees a context of ``prompt_len + 1`` tokens already
+        materialized (``kv_ready``) and ``output_len - 1`` tokens left
+        to generate; the total KV footprint is unchanged.  The prefix
+        group is dropped — migrated KV arrives whole, nothing is left
+        for a prefix cache to serve.
+        """
+        return replace(origin, arrival_s=arrival_s,
+                       prompt_len=origin.prompt_len + 1,
+                       output_len=origin.output_len - 1,
+                       prefix_group=None, prefix_len=0, kv_ready=True)
+
+    def _transfer(self, origin: Request, kvq_bits: int) -> tuple:
+        """(bytes, seconds) of one KV migration over the interconnect."""
+        moved = self.config.kv_cache_bytes(
+            seq_len=origin.prompt_len + 1, batch=1, bits=kvq_bits)
+        seconds = moved / self.interconnect.link_bandwidth_bytes \
+            + self.interconnect.link_latency_s
+        return moved, seconds
+
+    def _leap_horizon(self, next_event: float) -> float:
+        """How far a decode replica's step may safely leap.
+
+        Unified and prefill replicas only ever receive trace arrivals,
+        all of which are known, so the next pending event bounds them.
+        A decode replica additionally receives KV migrations that do
+        not exist yet: a prefill completion at time ``f`` enqueues a
+        migration arriving strictly after ``f``, and ``f`` can be no
+        earlier than that replica's current clock — so the earliest
+        busy prefill clock also bounds the horizon.
+
+        The prefill-clock minimum is cached (``_prefill_min``,
+        invalidated whenever a prefill replica steps, advances, or
+        takes a route) instead of rescanning the fleet for every decode
+        step.
+        """
+        bound = self._prefill_min
+        if bound is None:
+            bound = math.inf
+            for other in self.replicas:
+                if other.role == "prefill" and other.engine.has_work() \
+                        and other.engine.now < bound:
+                    bound = other.engine.now
+            self._prefill_min = bound
+        return bound if bound < next_event else next_event
+
+    def _spawn_migrations(self, rep: Replica) -> None:
+        """Spawn the KV migrations of a prefill replica's new completions.
+
+        Runs after every prefill-replica step, since a migration must
+        exist before the event loop continues.  The cluster-level rows
+        are stitched by column at teardown (:meth:`_stitch`).
+        """
+        store = rep.engine.report.completions
+        seen = self._seen.get(rep.index, 0)
+        self._seen[rep.index] = len(store)
+        for half, finish in zip(store.requests[seen:],
+                                store["finish_s"][seen:].tolist()):
+            # Entries live from routing until the prefill half drains —
+            # popping here (rather than never) is what keeps a
+            # million-request disaggregated run's memory flat.
+            origin = self._origins.pop(half.req_id)
+            if origin.output_len == 1:
+                continue  # Nothing left to decode: done at prefill.
+            moved, seconds = self._transfer(origin, rep.engine.kvq_bits)
+            self._n_migrations += 1
+            self._transfer_bytes += moved
+            self._transfer_seconds += seconds
+            sub = self._decode_request(origin, arrival_s=finish + seconds)
+            # Tie-break by req_id, not push order: leaping can reorder
+            # which replica drains first, and the heap order must not
+            # depend on that.
+            heapq.heappush(self._migrations, (sub.arrival_s, sub.req_id, sub))
+
+    # -- the event loop --------------------------------------------------
+    def _reset(self) -> None:
+        """Forget the previous run's routing and event state."""
+        self.router.reset()
+        #: Migration heap of (arrival_s, req_id, Request).
+        self._migrations: list = []
+        self._origins: dict[int, Request] = {}
+        self._seen: dict[int, int] = {}
+        self._n_migrations = 0
+        self._transfer_bytes = 0.0
+        self._transfer_seconds = 0.0
+        self._prefill_min: float | None = None
+        #: Replicas mid cold start, and the earliest of their ready times.
+        self._booting: list = []
+        self._ready_t = math.inf
+
+    def _submit(self, rep: Replica, request: Request, heap: list) -> None:
+        """Hand ``request`` to ``rep`` at its arrival instant.
+
+        A replica the request wakes joins the clock heap.  A busy one
+        is already in it, and its clock is at or past the instant of
+        every event the loop handles, so the clock entry stays exact.
+        """
+        engine = rep.engine
+        woke = not engine.has_work()
+        engine.advance_to(request.arrival_s)
+        engine.submit(request)
+        if rep.role == "prefill":
+            self._prefill_min = None
+        if woke:
+            heapq.heappush(heap, (engine.now, rep.index))
+
+    def _drive(self, pending: list, times: np.ndarray) -> None:
+        """Serve ``pending`` (arrival ``times``) to the end of the run.
+
+        Steps commit in global clock order: a ``(clock, index)``
+        min-heap holding one entry per busy replica picks the earliest
+        one (lowest index first on ties), which steps — leaping up to
+        the next event, which is causal because every later submission
+        to it happens at an event — until an event comes first.  Events
+        at one instant fire boot-ready, then arrival, then migration,
+        then tick.  Each arrival cohort (every arrival no later than the
+        earliest busy clock, the next migration and the next tick, and
+        before the next boot) routes through one batched
+        :meth:`Router.select_batch`; a replica a cohort wakes can end it
+        early.  Event order — and so every report field — is that of a
+        one-event-at-a-time scan of the fleet (pinned by
+        ``tests/data/cluster_identity.json``).
+        """
+        replicas = self.replicas
+        migrations = self._migrations
+        heappush, heappop = heapq.heappush, heapq.heappop
+        inf = math.inf
+        heap: list = []   # (engine clock, replica index) per busy replica.
+        idx = 0
+        n_pending = len(pending)
+        next_tick = self.tick_s
+        while True:
+            arrival_t = float(times[idx]) if idx < n_pending else inf
+            ready_t = self._ready_t
+            next_event = min(arrival_t, migrations[0][0] if migrations
+                             else inf, ready_t, next_tick)
+            # Steps: the earliest busy replica goes while it precedes
+            # every event (a prefill step may spawn an earlier one).
+            while heap and heap[0][0] < next_event:
+                worker = replicas[heappop(heap)[1]]
+                engine = worker.engine
+                role = worker.role
+                if role == "prefill":
+                    self._prefill_min = None
+                if engine.step(horizon=self._leap_horizon(next_event)
+                               if role == "decode" else next_event):
+                    if engine.has_work():
+                        heappush(heap, (engine.now, worker.index))
+                    elif worker.state == "draining":  # Elastic only.
+                        self._retire(worker, engine.now)
+                    if role == "prefill":
+                        self._spawn_migrations(worker)
+                        if migrations and migrations[0][0] < next_event:
+                            next_event = migrations[0][0]
+                elif next_event == inf:
+                    raise ConfigError(
+                        f"replica {worker.index} "
+                        f"({engine.scheduler.name}) stalled with "
+                        f"work queued but nothing planned")
+                else:
+                    engine.advance_to(next_event)
+                    heappush(heap, (engine.now, worker.index))
+            if next_event == inf:
+                break
+            migration_t = migrations[0][0] if migrations else inf
+            if ready_t == next_event:
+                for rep in list(self._booting):
+                    if rep.ready_s <= ready_t:
+                        self._activate(rep, ready_t)
+            elif arrival_t == next_event:
+                bound = min(heap[0][0] if heap else inf, migration_t,
+                            next_tick)
+                upto = n_pending if bound == inf else \
+                    int(np.searchsorted(times, bound, side="right"))
+                if ready_t < inf:
+                    upto = min(upto, int(np.searchsorted(
+                        times, ready_t, side="left")))
+
+                def commit(request: Request, rep: Replica) -> bool:
+                    nonlocal idx, bound
+                    if rep.role == "prefill":
+                        self._origins[request.req_id] = request
+                        sub = replace(request, output_len=1)
+                    else:
+                        # Re-instantiated per replica: replicas fed from
+                        # one trace never alias per-request state.
+                        sub = replace(request)
+                    self._submit(rep, sub, heap)
+                    idx += 1
+                    now = rep.engine.now
+                    if now < bound:
+                        bound = now
+                    return idx < upto and times[idx] <= bound
+
+                self.router.select_batch(pending[idx:upto],
+                                         self._routable(), commit)
+            elif migration_t == next_event:
+                _, _, sub = heappop(migrations)
+                self._submit(self.decode_router.select(
+                    sub, self._decode_targets()), sub, heap)
+            elif idx < n_pending or heap or self._booting:
+                self._decide(next_tick, idx)
+                next_tick += self.tick_s
+            else:
+                # Nothing can arrive or run again: stop ticking rather
+                # than scale an empty fleet forever.
+                break
+
+
+class ServingCluster(_Fleet):
     """N engine replicas behind a router, on one global clock.
 
     Parameters
@@ -268,148 +561,9 @@ class ServingCluster:
         self.name = name if name is not None else \
             f"{n}x {designs.pop() if len(designs) == 1 else 'mixed'}"
 
-    # -- views -----------------------------------------------------------
     @property
     def n_replicas(self) -> int:
         return len(self.replicas)
-
-    def _arrival_targets(self) -> list:
-        if self.mode == "unified":
-            return self.replicas
-        return [r for r in self.replicas if r.role == "prefill"]
-
-    def _decode_targets(self) -> list:
-        return [r for r in self.replicas if r.role == "decode"]
-
-    # -- validation ------------------------------------------------------
-    @staticmethod
-    def _distinct_schedulers(replicas: list) -> list:
-        """One scheduler per admission-equivalent class.
-
-        ``admission_error`` is a pure function of the scheduler's
-        construction parameters (model, capacity, quantization, block
-        geometry), so identical replicas — the common case — need only
-        one probe per request instead of N.
-        """
-        probes: dict = {}
-        for rep in replicas:
-            scheduler = rep.engine.scheduler
-            manager = getattr(scheduler, "block_manager", None)
-            key = (type(scheduler), scheduler.config,
-                   scheduler.kv_capacity_bytes, scheduler.kvq_bits,
-                   None if manager is None
-                   else (manager.num_blocks, manager.block_size))
-            probes.setdefault(key, scheduler)
-        return list(probes.values())
-
-    def _validate(self, pending: list) -> None:
-        """Whole-trace admission check before simulating anything."""
-        arrival_probes = self._distinct_schedulers(
-            self._arrival_targets())
-        decode_probes = self._distinct_schedulers(self._decode_targets())
-        for request in pending:
-            probe = request if self.mode == "unified" \
-                else replace(request, output_len=1)
-            for scheduler in arrival_probes:
-                error = scheduler.admission_error(probe)
-                if error:
-                    raise ConfigError(f"unservable trace: {error}")
-            if self.mode == "disaggregated" and request.output_len > 1:
-                probe = self._decode_request(request, arrival_s=0.0)
-                for scheduler in decode_probes:
-                    error = scheduler.admission_error(probe)
-                    if error:
-                        raise ConfigError(f"unservable trace: {error}")
-
-    # -- disaggregation --------------------------------------------------
-    def _decode_request(self, origin: Request,
-                        arrival_s: float) -> Request:
-        """The decode-side half of a migrated request.
-
-        The prefill replica produced the first token, so the decode
-        replica sees a context of ``prompt_len + 1`` tokens already
-        materialized (``kv_ready``) and ``output_len - 1`` tokens left
-        to generate; the total KV footprint is unchanged.  The prefix
-        group is dropped — migrated KV arrives whole, nothing is left
-        for a prefix cache to serve.
-        """
-        return replace(origin, arrival_s=arrival_s,
-                       prompt_len=origin.prompt_len + 1,
-                       output_len=origin.output_len - 1,
-                       prefix_group=None, prefix_len=0, kv_ready=True)
-
-    def _transfer(self, origin: Request, kvq_bits: int) -> tuple:
-        """(bytes, seconds) of one KV migration over the interconnect."""
-        moved = self.config.kv_cache_bytes(
-            seq_len=origin.prompt_len + 1, batch=1, bits=kvq_bits)
-        seconds = moved / self.interconnect.link_bandwidth_bytes \
-            + self.interconnect.link_latency_s
-        return moved, seconds
-
-    def _leap_horizon(self, rep: Replica, next_event: float) -> float:
-        """How far ``rep``'s step may safely leap.
-
-        Unified and prefill replicas only ever receive trace arrivals,
-        all of which are known, so the next pending event bounds them.
-        A decode replica additionally receives KV migrations that do
-        not exist yet: a prefill completion at time ``f`` enqueues a
-        migration arriving strictly after ``f``, and ``f`` can be no
-        earlier than that replica's current clock — so the earliest
-        busy prefill clock also bounds the horizon.
-
-        The prefill-clock minimum is cached per drain epoch
-        (``_prefill_min``, invalidated whenever a prefill replica
-        steps, advances, or takes a route) instead of rescanning the
-        fleet for every decode step.
-        """
-        if rep.role != "decode":
-            return next_event
-        bound = self._prefill_min
-        if bound is None:
-            bound = math.inf
-            for other in self.replicas:
-                if other.role == "prefill" and other.engine.has_work() \
-                        and other.engine.now < bound:
-                    bound = other.engine.now
-            self._prefill_min = bound
-        return bound if bound < next_event else next_event
-
-    # -- the cluster event loop ------------------------------------------
-    def _route_to(self, rep: Replica, request: Request,
-                  now: float) -> None:
-        """Commit one routing decision (the router already chose)."""
-        rep.engine.advance_to(now)
-        rep.engine.submit(request)
-        if rep.role == "prefill":
-            self._prefill_min = None
-
-    def _drain(self, rep: Replica) -> None:
-        """Spawn the KV migrations of a prefill replica's new completions.
-
-        Runs after every prefill-replica step, since a migration must
-        exist before the event loop continues.  The cluster-level rows
-        are stitched by column at teardown (:meth:`_stitch`).
-        """
-        store = rep.engine.report.completions
-        seen = self._seen[rep.index]
-        self._seen[rep.index] = len(store)
-        for half, finish in zip(store.requests[seen:],
-                                store["finish_s"][seen:].tolist()):
-            # Entries live from routing until the prefill half drains —
-            # popping here (rather than never) is what keeps a
-            # million-request disaggregated run's memory flat.
-            origin = self._origins.pop(half.req_id)
-            if origin.output_len == 1:
-                continue  # Nothing left to decode: done at prefill.
-            moved, seconds = self._transfer(origin, rep.engine.kvq_bits)
-            self._n_migrations += 1
-            self._transfer_bytes += moved
-            self._transfer_seconds += seconds
-            sub = self._decode_request(origin, arrival_s=finish + seconds)
-            # Tie-break by req_id, not push order: leaping can reorder
-            # which replica drains first, and the heap order must not
-            # depend on that.
-            heapq.heappush(self._migrations, (sub.arrival_s, sub.req_id, sub))
 
     def _stitch(self, reports: list, pending: list) -> CompletionStore:
         """Cluster-level rows of a disaggregated run, by column.
@@ -434,171 +588,16 @@ class ServingCluster:
         pre.requests = [origin[rid] for rid in pre["req_id"].tolist()]
         return pre.ordered()
 
-    def _drive_unified(self, pending: list, times: np.ndarray) -> None:
-        """Unified-mode compressed loop: span advance + cohort routing.
-
-        Between two external events, unified replicas are completely
-        independent — the only cross-replica coupling is the router
-        reading ``outstanding_tokens`` at dispatch instants, and the
-        set of steps committed by then (every step starting strictly
-        before the event) is the same whether replicas interleave step
-        by step or advance one after the other.  So each busy replica
-        is driven straight to the next arrival in one inner loop: the
-        global quiescence leap falls out for free, because a replica
-        whose plan is pure decode crosses the whole span in one
-        (possibly resumed) leap, and no per-step earliest-replica
-        selection exists at all.
-        """
-        replicas = self.replicas
-        inf = math.inf
-        idx = 0
-        n_pending = len(pending)
-        targets = self._arrival_targets()
-        while True:
-            arrival_t = float(times[idx]) if idx < n_pending else inf
-            busy_min = inf
-            for rep in replicas:
-                engine = rep.engine
-                while engine.has_work() and engine.now < arrival_t:
-                    if not engine.step(horizon=arrival_t):
-                        if arrival_t == inf:
-                            raise ConfigError(
-                                f"replica {rep.index} "
-                                f"({engine.scheduler.name}) stalled "
-                                f"with work queued but nothing planned")
-                        engine.advance_to(arrival_t)
-                        break
-                if engine.has_work() and engine.now < busy_min:
-                    busy_min = engine.now
-            if idx >= n_pending:
-                break
-            # Cohort dispatch: every arrival that precedes the earliest
-            # busy clock routes back-to-back — no replica has a step to
-            # commit between them.  Routing can wake an idle replica
-            # whose clock lands below a later arrival; the commit
-            # callback shrinks the bound, ending the cohort exactly
-            # where the stepwise loop would have stepped first.
-            upto = n_pending if busy_min == inf else \
-                int(np.searchsorted(times, busy_min, side="right"))
-
-            def commit(request: Request, rep: Replica) -> bool:
-                nonlocal idx, busy_min
-                self._route_to(rep, replace(request), request.arrival_s)
-                idx += 1
-                now = rep.engine.now
-                if now < busy_min:
-                    busy_min = now
-                return idx < n_pending and times[idx] <= busy_min
-
-            self.router.select_batch(pending[idx:upto], targets, commit)
-
-    def _drive_disaggregated(self, pending: list,
-                             times: np.ndarray) -> None:
-        """Disaggregated compressed loop: lazy min-heap replica clock.
-
-        Migration interleaving couples the replicas (a prefill
-        completion spawns a decode-side arrival, and decode horizons
-        read prefill clocks), so steps commit in global clock order: a
-        ``(clock, index)`` heap with lazy invalidation picks each
-        earliest busy replica in O(log replicas), the lowest index
-        first on ties.
-        """
-        replicas = self.replicas
-        inf = math.inf
-        heap: list = []
-        idx = 0
-        n_pending = len(pending)
-        targets = self._arrival_targets()
-        decode_targets = self._decode_targets()
-        while True:
-            arrival_t = float(times[idx]) if idx < n_pending else inf
-            migration_t = self._migrations[0][0] if self._migrations \
-                else inf
-            next_event = arrival_t if arrival_t <= migration_t \
-                else migration_t
-            worker = None
-            worker_now = inf
-            while heap:
-                clock, i = heap[0]
-                rep = replicas[i]
-                if rep.engine.now != clock or not rep.engine.has_work():
-                    heapq.heappop(heap)  # Stale entry.
-                    continue
-                worker = rep
-                worker_now = clock
-                break
-            if worker is not None and worker_now < next_event:
-                heapq.heappop(heap)
-                engine = worker.engine
-                if worker.role == "prefill":
-                    self._prefill_min = None
-                if engine.step(
-                        horizon=self._leap_horizon(worker, next_event)):
-                    if worker.role == "prefill":
-                        self._drain(worker)
-                    if engine.has_work():
-                        heapq.heappush(heap, (engine.now, worker.index))
-                elif next_event == inf:
-                    raise ConfigError(
-                        f"replica {worker.index} "
-                        f"({engine.scheduler.name}) stalled with "
-                        f"work queued but nothing planned")
-                else:
-                    engine.advance_to(next_event)
-                    heapq.heappush(heap, (engine.now, worker.index))
-                continue
-            if next_event == inf:
-                break
-            if arrival_t <= migration_t:
-                # Arrival cohort to the prefill pool, bounded by the
-                # earliest busy clock and the next migration (which
-                # only steps can spawn — none happen inside a cohort).
-                bound = worker_now if worker_now < migration_t \
-                    else migration_t
-                upto = n_pending if bound == inf else \
-                    int(np.searchsorted(times, bound, side="right"))
-
-                def commit(request: Request, rep: Replica) -> bool:
-                    nonlocal idx, bound
-                    self._origins[request.req_id] = request
-                    sub = replace(request, output_len=1)
-                    self._route_to(rep, sub, request.arrival_s)
-                    heapq.heappush(heap, (rep.engine.now, rep.index))
-                    idx += 1
-                    now = rep.engine.now
-                    if now < bound:
-                        bound = now
-                    return idx < n_pending and times[idx] <= bound
-
-                self.router.select_batch(pending[idx:upto], targets,
-                                         commit)
-            else:
-                when, _, sub = heapq.heappop(self._migrations)
-                rep = self.decode_router.select(sub, decode_targets)
-                self._route_to(rep, sub, when)
-                heapq.heappush(heap, (rep.engine.now, rep.index))
-
     def run(self, trace: list[Request]) -> ClusterReport:
         """Serve a trace across the replicas; merge into one report."""
         pending, times = _prologue(trace)
         self._validate(pending)
-        self.router.reset()
+        self._reset()
         self.decode_router.reset()
         for rep in self.replicas:
             rep.engine.start()
-        #: Migration heap of (arrival_s, req_id, Request).
-        self._migrations: list = []
-        self._origins: dict[int, Request] = {}
-        self._seen = [0] * self.n_replicas
-        self._n_migrations = 0
-        self._transfer_bytes = 0.0
-        self._transfer_seconds = 0.0
-        self._prefill_min: float | None = None
 
-        if self.mode == "unified":
-            self._drive_unified(pending, times)
-        else:
-            self._drive_disaggregated(pending, times)
+        self._drive(pending, times)
 
         makespan = max(rep.engine.now for rep in self.replicas)
         reports = [rep.engine.finish() for rep in self.replicas]

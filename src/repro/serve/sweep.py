@@ -278,6 +278,8 @@ class SweepPoint:
                 object.__setattr__(self, "router", "least-outstanding")
         if self.n_replicas < 1:
             raise ConfigError("n_replicas must be positive")
+        if not self.tick_s > 0:
+            raise ConfigError("tick_s must be positive")
         for name in ("tp", "pp"):
             value = int(getattr(self, name))
             object.__setattr__(self, name, value)

@@ -213,6 +213,38 @@ class TestScalerDecisions:
             PredictiveAutoscaler(horizon_s=-1.0)
 
 
+#: Every float a fleet is built from.  NaN fails every comparison, so a
+#: ``x <= 0`` check lets it through: a NaN tick never finishes a run, a
+#: NaN cold start never boots a replica, a NaN threshold never scales.
+NAN_FIELDS = {
+    "cold_start.provision_s": lambda v: ColdStartConfig(provision_s=v),
+    "cold_start.link_bandwidth_bytes":
+        lambda v: ColdStartConfig(link_bandwidth_bytes=v),
+    "cold_start.link_latency_s":
+        lambda v: ColdStartConfig(link_latency_s=v),
+    "reactive.target_tokens_per_replica":
+        lambda v: ReactiveAutoscaler(target_tokens_per_replica=v),
+    "reactive.scale_down_fraction":
+        lambda v: ReactiveAutoscaler(scale_down_fraction=v),
+    **{f"predictive.{name}": (lambda v, name=name:
+                              PredictiveAutoscaler(**{name: v}))
+       for name in ("replica_rps", "alpha", "beta", "horizon_s",
+                    "headroom", "backlog_tokens_per_replica")},
+    "fleet.tick_s": lambda v: make_autoscaling_cluster(
+        tiny_design(), TINY_GQA, 2, tick_s=v),
+    "point.tick_s": lambda v: SweepPoint(
+        label="x", design=("mugi", 64), model=TINY_GQA,
+        trace=TraceSpec("steady", n_requests=4, rate_rps=1.0),
+        autoscaler="reactive", tick_s=v),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NAN_FIELDS))
+def test_nan_fleet_input_is_rejected(field):
+    with pytest.raises(ConfigError, match=field.split(".")[-1]):
+        NAN_FIELDS[field](math.nan)
+
+
 class TestMultiTenantTrace:
     def test_deterministic_per_seed(self):
         a, b = tiny_trace(seed=9), tiny_trace(seed=9)
@@ -386,12 +418,12 @@ class TestFleetLifecycle:
 
         class Probe(ReactiveAutoscaler):
             def desired(self, snapshot):
-                live = [rep.engine.scheduler for rep in fleet.fleet
+                live = [rep.engine.scheduler for rep in fleet.replicas
                         if rep.state in ("active", "draining")]
                 ticks.append((
                     snapshot.inflight_requests,
                     sum(len(s.queue) + len(s.running) for s in live),
-                    any(rep.state == "retired" for rep in fleet.fleet)))
+                    any(rep.state == "retired" for rep in fleet.replicas)))
                 return super().desired(snapshot)
 
         # The queue builds past one replica's 1500-token target, then
@@ -507,7 +539,7 @@ class TestFleetLifecycle:
         with pytest.raises(ConfigError, match="cluster-internal"):
             fleet.run(trace)
         assert steps == []
-        assert fleet.fleet == []
+        assert fleet.replicas == []
         # The same trace without the flag runs, and steps.
         trace[-1] = replace(trace[-1], kv_ready=False)
         assert fleet.run(trace).completed == len(trace)

@@ -1,8 +1,8 @@
-"""Heap-scheduled fleet loops match golden digests of the legacy loops.
+"""The heap-scheduled fleet loop matches golden digests of the legacy loops.
 
-The event-compressed cluster drive loops (lazy min-heap replica clock,
-batched cohort routing, cross-replica decode horizons, global
-quiescence leaps) must reproduce the legacy earliest-busy-replica scan
+The event-compressed fleet loop (min-heap replica clock, batched
+cohort routing, cross-replica decode horizons, global quiescence
+leaps) must reproduce the legacy earliest-busy-replica scan
 loops they replaced *bit for bit* — every completion, every
 accumulator, every per-replica report field — across unified,
 disaggregated, and autoscaling fleets under every router.  The scan
@@ -72,7 +72,7 @@ CONTINUOUS = ("unified-continuous-3", "round-robin")
 GRID = [(mode, router) for mode in MODES for router in ROUTERS] \
     + [CONTINUOUS]
 
-#: Fields left out of the digests: the heap loops plan fewer steps
+#: Fields left out of the digests: the fleet loop plans fewer steps
 #: (quiescence leaps, resumed windows), so cache probes and leap
 #: counters attribute differently from the scan loops.
 DIAGNOSTIC_FIELDS = {"step_cache_hits", "step_cache_misses",

@@ -29,7 +29,6 @@ from repro.serve import (
     TraceSpec,
     bursty_trace,
     poisson_trace,
-    run_point,
     run_sweep,
     simulate_trace,
     steady_trace,
